@@ -34,6 +34,34 @@ def planar_distances(deltas: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(deltas * deltas, axis=-1))
 
 
+def circle_clearances(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    center_xs: np.ndarray,
+    center_ys: np.ndarray,
+    radii: np.ndarray,
+) -> np.ndarray:
+    """Distance from points to circle surfaces, ``sqrt(dx*dx + dy*dy) - r``.
+
+    The shared point-vs-circle kernel under every clearance query.  It works
+    on separate x and y columns that broadcast against each other (for
+    example ``(P, 1)`` points against ``(1, N)`` circles); ``ys - center_ys``
+    and ``radii`` must broadcast to the shape of ``xs - center_xs``.  The
+    result is bit-identical to the stacked form
+    ``np.sqrt(np.sum(deltas**2, axis=-1)) - radii`` over ``(..., 2)`` deltas
+    — numpy reduces a length-2 axis as ``a0 + a1`` and ``x**2`` is ``x*x`` —
+    without building the delta tensor or running a strided reduction.
+    """
+    dx = xs - center_xs
+    dy = ys - center_ys
+    dx *= dx
+    dy *= dy
+    dx += dy
+    np.sqrt(dx, out=dx)
+    dx -= radii
+    return dx
+
+
 class ObstacleDensity(str, enum.Enum):
     """The three environment difficulty levels of Fig. 5."""
 
@@ -94,10 +122,13 @@ class ObstacleField:
         # (thousands of circles) times large ray batches stay within a few MB.
         max_cells = 1 << 20
         chunk = max(1, max_cells // self.num_obstacles)
+        center_xs, center_ys = self.centers[None, :, 0], self.centers[None, :, 1]
+        radii = self.radii[None, :]
         nearest = np.empty(points.shape[0], dtype=np.float64)
         for lo in range(0, points.shape[0], chunk):
-            deltas = points[lo : lo + chunk, None, :] - self.centers[None, :, :]
-            distances = np.sqrt(np.sum(deltas**2, axis=2)) - self.radii[None, :]
+            distances = circle_clearances(
+                xs[lo : lo + chunk, None], ys[lo : lo + chunk, None], center_xs, center_ys, radii
+            )
             nearest[lo : lo + chunk] = distances.min(axis=1)
         return np.minimum(wall_distance, nearest)
 

@@ -23,7 +23,7 @@ exact check on the survivors) returns precisely the all-pairs answer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from repro.obs import get_metrics
 #: enumerate every unordered adjacent-cell pair exactly once.
 _HALF_NEIGHBOURHOOD: Tuple[Tuple[int, int], ...] = ((1, 0), (0, 1), (1, 1), (1, -1))
 
+#: An integer grid cell as one record, ordered by x then y.
+_CELL_RECORD = np.dtype([("x", np.int64), ("y", np.int64)])
+
 
 def _canonical_pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Stack index pairs as (K, 2) with the smaller index first, sorted rows."""
@@ -42,6 +45,27 @@ def _canonical_pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     high = np.maximum(left, right)
     order = np.lexsort((high, low))
     return np.stack([low[order], high[order]], axis=1)
+
+
+def _cell_keys(cells: np.ndarray, offsets: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """Sortable, searchable keys of ``cells`` (N, 2) shifted by each offset.
+
+    Returns a ``(len(offsets), N)`` array whose row ``k`` keys the cells at
+    ``offsets[k]`` from each of ``cells``; equal cells get equal keys.  A key
+    is one int64 relative to the minimum cell while the fleet's cell span
+    keeps that encoding from overflowing.  A wider span falls back to
+    ``(x, y)`` int64 records, which numpy sorts and searches
+    lexicographically: a two-column lexsort.
+    """
+    xs, ys = cells[:, 0], cells[:, 1]
+    low_x, low_y = int(xs.min()), int(ys.min())
+    # Rows y - 1 .. y + 1 of every column fit inside one stride.
+    stride = int(ys.max()) - low_y + 3
+    if (int(xs.max()) - low_x + 2) * stride <= np.iinfo(np.int64).max:
+        base = (xs - low_x) * stride + (ys - low_y + 1)
+        return np.stack([base + (dx * stride + dy) for dx, dy in offsets])
+    shifted = cells[None, :, :] + np.asarray(offsets, dtype=np.int64)[:, None, :]
+    return shifted.view(_CELL_RECORD)[:, :, 0]
 
 
 def all_pairs(count: int) -> np.ndarray:
@@ -70,28 +94,23 @@ def candidate_conflict_pairs(
     max_length = float(lengths.max()) if lengths.size else 0.0
     cell = separation_m + 2.0 * max_length
     cells = np.floor(starts / cell).astype(np.int64)
-    grouped: Dict[Tuple[int, int], List[int]] = {}
-    for index, key in enumerate(map(tuple, cells)):
-        grouped.setdefault(key, []).append(index)
-    buckets: Dict[Tuple[int, int], np.ndarray] = {
-        key: np.asarray(members, dtype=np.int64) for key, members in grouped.items()
-    }
-    lefts: List[np.ndarray] = []
-    rights: List[np.ndarray] = []
-    for (cell_x, cell_y), members in buckets.items():
-        if members.size > 1:
-            inner_left, inner_right = np.triu_indices(members.size, k=1)
-            lefts.append(members[inner_left])
-            rights.append(members[inner_right])
-        for offset_x, offset_y in _HALF_NEIGHBOURHOOD:
-            neighbours = buckets.get((cell_x + offset_x, cell_y + offset_y))
-            if neighbours is not None:
-                lefts.append(np.repeat(members, neighbours.size))
-                rights.append(np.tile(neighbours, members.size))
-    if not lefts:
-        return np.empty((0, 2), dtype=np.int64)
-    left = np.concatenate(lefts)
-    right = np.concatenate(rights)
+    # Row 0 of ``keys`` holds each vehicle's own cell, the other rows the
+    # cells at the half-neighbourhood offsets.  Sorting the vehicles by cell
+    # turns every cell into a run of the sorted keys, found by searchsorted.
+    keys = _cell_keys(cells, ((0, 0),) + _HALF_NEIGHBOURHOOD)
+    order = np.argsort(keys[0])
+    queries = keys[:, order].reshape(-1)
+    lows = np.searchsorted(queries[:count], queries, side="left")
+    highs = np.searchsorted(queries[:count], queries, side="right")
+    # Same cell: pair each vehicle only with the later members of its run.
+    lows[:count] = np.arange(1, count + 1)
+    # Expand every query's [low, high) run of sorted positions into pairs.
+    counts = highs - lows
+    owners = np.repeat(np.tile(np.arange(count), len(keys)), counts)
+    firsts = np.cumsum(counts) - counts
+    partners = np.arange(int(counts.sum())) + np.repeat(lows - firsts, counts)
+    left = order[owners]
+    right = order[partners]
     # Tighten with the per-pair bound: min sample distance is at least
     # |Δstart| - length_i - length_j (triangle inequality), so anything at or
     # beyond separation + both lengths can never conflict.

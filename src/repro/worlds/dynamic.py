@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.envs.obstacles import ObstacleField
+from repro.envs.obstacles import ObstacleField, circle_clearances
 from repro.errors import ConfigurationError
 
 
@@ -113,21 +113,43 @@ class DynamicObstacleField(ObstacleField):
     def _mover_radii(self) -> np.ndarray:
         return np.array([mover.radius for mover in self.movers], dtype=np.float64)
 
-    def _mover_clearances(self, points: np.ndarray, times_s: np.ndarray) -> np.ndarray:
+    def _mover_centers(self, times_s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Mover centre coordinates ``(xs, ys)`` at each of ``times_s``.
+
+        Both arrays are ``(M, T)`` for ``T`` times, or ``(M, 1)`` — broadcast
+        over every time — when all times are one instant (the lockstep fleet
+        case).  :meth:`MovingObstacle.positions_at` runs on the distinct
+        instants only and its rows are gathered back to the times; it is
+        elementwise in time, so the gathered centres are bit-identical to
+        evaluating every time directly.
+        """
+        instants, inverse = np.unique(times_s, return_inverse=True)
+        centers = np.stack([mover.positions_at(instants) for mover in self.movers])
+        if instants.size > 1:
+            centers = centers[:, inverse, :]
+        return centers[:, :, 0], centers[:, :, 1]
+
+    def _mover_clearances(
+        self, points: np.ndarray, center_xs: np.ndarray, center_ys: np.ndarray
+    ) -> np.ndarray:
         """Distance from each point to the nearest mover surface at its own time.
 
-        ``points`` is ``(P, 2)`` and ``times_s`` ``(P,)`` — point ``i`` sees
-        every mover placed at ``times_s[i]``.  The per-element arithmetic
-        (``sqrt(dx² + dy²) - radius``, min over movers) is exactly the slice
-        of the static :meth:`~repro.envs.obstacles.ObstacleField.clearances`
-        distance matrix the movers occupy in an :meth:`at_time` snapshot, so
-        combining this with the static clearance via ``np.minimum``
-        reproduces the snapshot's clearance bitwise.
+        ``points`` is ``(P, 2)``; ``center_xs``/``center_ys`` are the
+        :meth:`_mover_centers` of the points' times, ``(M, P)`` or ``(M, 1)``.
+        The per-element arithmetic (``sqrt(dx² + dy²) - radius``, min over
+        movers) is exactly the slice of the static
+        :meth:`~repro.envs.obstacles.ObstacleField.clearances` distance matrix
+        the movers occupy in an :meth:`at_time` snapshot, so combining this
+        with the static clearance via ``np.minimum`` reproduces the
+        snapshot's clearance bitwise.
         """
-        # (M, P, 2) mover centres at every point's instant.
-        centers = np.stack([mover.positions_at(times_s) for mover in self.movers])
-        deltas = points[None, :, :] - centers
-        distances = np.sqrt(np.sum(deltas**2, axis=2)) - self._mover_radii[:, None]
+        distances = circle_clearances(
+            points[None, :, 0],
+            points[None, :, 1],
+            center_xs,
+            center_ys,
+            self._mover_radii[:, None],
+        )
         return distances.min(axis=0)
 
     def clearances_timed(self, points: np.ndarray, times_s: np.ndarray) -> np.ndarray:
@@ -146,7 +168,7 @@ class DynamicObstacleField(ObstacleField):
         base = ObstacleField.clearances(self, points)
         if not self.movers:
             return base
-        return np.minimum(base, self._mover_clearances(points, times))
+        return np.minimum(base, self._mover_clearances(points, *self._mover_centers(times)))
 
     def collides_many_timed(
         self, points: np.ndarray, times_s: np.ndarray, vehicle_radius: float = 0.0
@@ -164,7 +186,9 @@ class DynamicObstacleField(ObstacleField):
             )
         hit = ObstacleField._collide_mask(self, points, vehicle_radius)
         if self.movers:
-            hit = hit | (self._mover_clearances(points, times) < vehicle_radius)
+            hit = hit | (
+                self._mover_clearances(points, *self._mover_centers(times)) < vehicle_radius
+            )
         return hit
 
     def ray_distances_many_timed(
@@ -211,12 +235,19 @@ class DynamicObstacleField(ObstacleField):
         flat_angles = angles.reshape(-1)
         directions = np.stack([np.cos(flat_angles), np.sin(flat_angles)], axis=-1)
         flat_origins = np.repeat(origins, angles.shape[1], axis=0)
-        ray_times = np.repeat(times, angles.shape[1])
+        # Every ray keeps its origin's time for the whole march, so mover
+        # centres are evaluated once per query rather than per march step.
+        center_xs, center_ys = self._mover_centers(np.repeat(times, angles.shape[1]))
+        shared_instant = center_xs.shape[1] == 1
 
         def timed_clearances(points: np.ndarray, rays: np.ndarray) -> np.ndarray:
+            xs, ys = (
+                (center_xs, center_ys)
+                if shared_instant
+                else (center_xs[:, rays], center_ys[:, rays])
+            )
             return np.minimum(
-                ObstacleField.clearances(self, points),
-                self._mover_clearances(points, ray_times[rays]),
+                ObstacleField.clearances(self, points), self._mover_clearances(points, xs, ys)
             )
 
         return self._march_rays(
@@ -251,14 +282,20 @@ class DynamicObstacleField(ObstacleField):
         loop building a merged snapshot per instant), every (segment, sample)
         pair is evaluated at once: the static circles and walls through one
         :meth:`~repro.envs.obstacles.ObstacleField._collide_mask` query, and
-        all movers x samples through one broadcast segment-distance
-        computation over the vectorized mover trajectories.
+        all movers x samples through one :meth:`_mover_clearances` query with
+        mover centres evaluated once per distinct sample instant.  Both time
+        vectors must have one entry per segment.
         """
         starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
         ends = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
         start_times = np.asarray(start_times_s, dtype=np.float64).reshape(-1)
         end_times = np.asarray(end_times_s, dtype=np.float64).reshape(-1)
         count = starts.shape[0]
+        if start_times.size != count or end_times.size != count:
+            raise ConfigurationError(
+                f"got {start_times.size} start and {end_times.size} end times "
+                f"for {count} segments"
+            )
         fractions = np.linspace(0.0, 1.0, max(2, samples))
         points = starts[:, None, :] + fractions[None, :, None] * (ends - starts)[:, None, :]
         flat_points = points.reshape(-1, 2)
@@ -268,12 +305,10 @@ class DynamicObstacleField(ObstacleField):
             times = (
                 start_times[:, None] + fractions[None, :] * (end_times - start_times)[:, None]
             ).reshape(-1)
-            # (M, N*S, 2) mover centres at every sample instant.
-            centers = np.stack([mover.positions_at(times) for mover in self.movers])
-            radii = np.array([mover.radius for mover in self.movers], dtype=np.float64)
-            deltas = flat_points[None, :, :] - centers
-            distances = np.sqrt(np.sum(deltas**2, axis=2)) - radii[:, None]
-            hit |= (distances < vehicle_radius).any(axis=0)
+            hit |= (
+                self._mover_clearances(flat_points, *self._mover_centers(times))
+                < vehicle_radius
+            )
         return hit.reshape(count, fractions.size).any(axis=1)
 
     def segment_collides_timed(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.envs.obstacles import ObstacleField
+from repro.envs.obstacles import ObstacleField, planar_distances
 from repro.errors import ConfigurationError
 from repro.fleet import (
     FleetConfig,
@@ -41,8 +41,91 @@ def _open_field(size: float = 30.0) -> ObstacleField:
     )
 
 
+def _reference_candidate_pairs(
+    starts: np.ndarray, lengths: np.ndarray, separation_m: float
+) -> np.ndarray:
+    """The dict-of-buckets spatial hash the sort-based prescreen replaced."""
+    starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
+    lengths = np.asarray(lengths, dtype=np.float64).reshape(-1)
+    count = starts.shape[0]
+    if count < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    cell = separation_m + 2.0 * float(lengths.max())
+    cells = np.floor(starts / cell).astype(np.int64)
+    grouped = {}
+    for index, key in enumerate(map(tuple, cells)):
+        grouped.setdefault(key, []).append(index)
+    buckets = {key: np.asarray(members, dtype=np.int64) for key, members in grouped.items()}
+    lefts, rights = [], []
+    for (cell_x, cell_y), members in buckets.items():
+        if members.size > 1:
+            inner_left, inner_right = np.triu_indices(members.size, k=1)
+            lefts.append(members[inner_left])
+            rights.append(members[inner_right])
+        for offset_x, offset_y in ((1, 0), (0, 1), (1, 1), (1, -1)):
+            neighbours = buckets.get((cell_x + offset_x, cell_y + offset_y))
+            if neighbours is not None:
+                lefts.append(np.repeat(members, neighbours.size))
+                rights.append(np.tile(neighbours, members.size))
+    if not lefts:
+        return np.empty((0, 2), dtype=np.int64)
+    left = np.concatenate(lefts)
+    right = np.concatenate(rights)
+    near = planar_distances(starts[left] - starts[right]) < (
+        separation_m + lengths[left] + lengths[right]
+    )
+    left, right = left[near], right[near]
+    low, high = np.minimum(left, right), np.maximum(left, right)
+    order = np.lexsort((high, low))
+    return np.stack([low[order], high[order]], axis=1)
+
+
+def _assert_same_candidates(starts, lengths, separation_m):
+    got = candidate_conflict_pairs(starts, lengths, separation_m)
+    expected = _reference_candidate_pairs(starts, lengths, separation_m)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
 # --------------------------------------------------------------------------- conflicts
 class TestConflictDetection:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 2),
+        count=st.integers(min_value=0, max_value=150),
+        extent=st.sampled_from([0.5, 5.0, 30.0, 400.0]),
+        separation=st.floats(min_value=0.1, max_value=3.0),
+        on_boundaries=st.booleans(),
+        zero_lengths=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prescreen_equals_dict_bucket_reference(
+        self, seed, count, extent, separation, on_boundaries, zero_lengths
+    ):
+        """The sort-based hash returns the dict-bucket hash's exact array."""
+        rng = np.random.default_rng(seed)
+        lengths = np.zeros(count) if zero_lengths else rng.uniform(0.0, 1.5, size=count)
+        starts = rng.uniform(-extent, extent, size=(count, 2))
+        if on_boundaries and count:
+            # Starts rounded onto multiples of the hash cell size.
+            cell = separation + 2.0 * float(lengths.max())
+            starts = np.round(starts / cell) * cell
+        _assert_same_candidates(starts, lengths, float(separation))
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_prescreen_tiny_fleets_equal_reference(self, count):
+        starts = np.array([[-0.3, 0.2], [0.4, -0.1]])[:count]
+        _assert_same_candidates(starts, np.full(count, 0.25), 1.0)
+
+    def test_prescreen_on_a_very_wide_extent_equals_reference(self):
+        """Cells spanning ~1e15 on both axes overflow a single int64 key."""
+        rng = np.random.default_rng(17)
+        clusters = np.array([[-1e15, -1e15], [1e15, 1e15], [-1e15, 1e15], [0.0, 0.0]])
+        starts = (clusters[:, None, :] + rng.uniform(-2.0, 2.0, size=(4, 30, 2))).reshape(-1, 2)
+        lengths = rng.uniform(0.0, 0.5, size=starts.shape[0])
+        _assert_same_candidates(starts, lengths, 1.0)
+        assert candidate_conflict_pairs(starts, lengths, 1.0).shape[0] > 0
+
+
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 2),
         count=st.integers(min_value=2, max_value=120),
