@@ -133,6 +133,11 @@ class BerryTrainer(DqnTrainer):
         self.device_fault_map = device_fault_map
         #: Number of perturbed passes executed (equals the number of gradient steps).
         self.num_injections = 0
+        # θ̃ and θ̃⁻ live in networks allocated once: every perturbed pass
+        # reloads their parameters, zero_grad() clears θ̃'s gradients and each
+        # forward pass overwrites the layer caches.
+        self._perturbed_q = self.q_network.clone()
+        self._perturbed_target = self.target_network.clone()
 
     # ------------------------------------------------------------------ fault sampling
     def sample_fault_map(self) -> FaultMap:
@@ -161,9 +166,13 @@ class BerryTrainer(DqnTrainer):
 
         # Perturbed pass (lines 15-17): BErr_p on θ and θ⁻, straight-through gradient.
         fault_map = self.sample_fault_map()
-        perturbed_q = self.injector.perturb_network(self.q_network, fault_map)
+        perturbed_q = self.injector.perturb_network(
+            self.q_network, fault_map, out=self._perturbed_q
+        )
         if self.berry.perturb_target:
-            perturbed_target = self.injector.perturb_network(self.target_network, fault_map)
+            perturbed_target = self.injector.perturb_network(
+                self.target_network, fault_map, out=self._perturbed_target
+            )
         else:
             perturbed_target = self.target_network
         perturbed_targets = self.compute_td_targets(batch, perturbed_target)

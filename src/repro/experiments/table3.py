@@ -87,12 +87,11 @@ def measure_table3_on_chips(
     generator_index = 0
     for chip in chips:
         for ber in chip.reference_ber_percent:
-            maps = [
-                chip.fault_map(
-                    injector.memory_bits, ber_percent=float(ber), rng=generators[generator_index]
-                )
+            map_rng = generators[generator_index]
+            maps = (
+                chip.fault_map(injector.memory_bits, ber_percent=float(ber), rng=map_rng)
                 for _ in range(profile.num_fault_maps)
-            ]
+            )
             generator_index += 1
             point = evaluate_under_faults(
                 env,

@@ -192,6 +192,36 @@ class FaultMap:
         return kinds
 
     # ------------------------------------------------------------------ application
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        if name in ("indices", "kinds"):
+            # Reassigned faults invalidate the compiled masks.
+            self.__dict__.pop("_masks", None)
+
+    def _compiled_masks(
+        self, bits_per_word: int, phase: int, num_words: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense int64 masks ``(xor, keep, set)`` of the words starting at bit ``phase``.
+
+        ``xor`` holds the FLIP bits, ``keep`` the complement of the STUCK_AT_0
+        bits and ``set`` the STUCK_AT_1 bits.  They are compiled once per word
+        width and phase and cached on the map (recompiled for a longer range).
+        """
+        cache = self.__dict__.setdefault("_masks", {})
+        masks = cache.get((bits_per_word, phase))
+        if masks is None or masks[0].size < num_words:
+            local = self.indices - phase
+            inside = (local >= 0) & (local < num_words * bits_per_word)
+            local, kinds = local[inside], self.kinds[inside]
+            word_index = local // bits_per_word
+            bit_masks = np.int64(1) << (local % bits_per_word)
+            flip, stuck0, stuck1 = (np.zeros(num_words, dtype=np.int64) for _ in FaultKind)
+            for kind, mask in zip(FaultKind, (flip, stuck0, stuck1)):
+                selected = kinds == int(kind)
+                np.bitwise_or.at(mask, word_index[selected], bit_masks[selected])
+            masks = cache[(bits_per_word, phase)] = (flip, ~stuck0, stuck1)
+        return masks
+
     def apply_to_words(
         self,
         words: np.ndarray,
@@ -204,44 +234,28 @@ class FaultMap:
         ``words`` is a flat array of unsigned integers, each occupying
         ``bits_per_word`` consecutive bit cells (LSB first).  Returns a
         corrupted copy (a ``backend`` array; numpy by default); the input is
-        not modified.  Fault-cell selection stays on numpy (the map itself is
-        numpy and tiny); only the word-array copy and the scatter application
-        run on the backend.
+        not modified.  Corruption is ``((words ^ xor) & keep) | set`` with the
+        map's compiled masks; fault indices are unique, so every bit carries at
+        most one fault and the three operations commute.
         """
         if bits_per_word <= 0:
             raise FaultModelError(f"bits_per_word must be positive, got {bits_per_word}")
         be = backend if backend is not None else NUMPY_BACKEND
-        words = be.array(words, "int64")
-        total_bits = be.numel(words) * bits_per_word
+        words = be.asarray(words, "int64")
+        num_words = be.numel(words)
+        total_bits = num_words * bits_per_word
         if bit_offset < 0 or bit_offset + total_bits > self.memory_bits:
             raise FaultModelError(
                 f"word range [{bit_offset}, {bit_offset + total_bits}) does not fit in "
                 f"memory of {self.memory_bits} bits"
             )
-        if self.num_faults == 0 or be.numel(words) == 0:
-            return words
-        in_range = (self.indices >= bit_offset) & (self.indices < bit_offset + total_bits)
-        if not np.any(in_range):
-            return words
-        local = self.indices[in_range] - bit_offset
-        kinds = self.kinds[in_range]
-        word_index = local // bits_per_word
-        bit_position = local % bits_per_word
-        masks = np.int64(1) << bit_position
-
-        flip = kinds == int(FaultKind.FLIP)
-        stuck0 = kinds == int(FaultKind.STUCK_AT_0)
-        stuck1 = kinds == int(FaultKind.STUCK_AT_1)
-        # The *_at scatter ops handle several faults landing in the same word.
-        if np.any(flip):
-            be.bitwise_xor_at(words, be.from_numpy(word_index[flip]), be.from_numpy(masks[flip]))
-        if np.any(stuck0):
-            be.bitwise_and_at(
-                words, be.from_numpy(word_index[stuck0]), be.from_numpy(~masks[stuck0])
-            )
-        if np.any(stuck1):
-            be.bitwise_or_at(words, be.from_numpy(word_index[stuck1]), be.from_numpy(masks[stuck1]))
-        return words
+        first, phase = divmod(bit_offset, bits_per_word)
+        window = slice(first, first + num_words)
+        xor, keep, set_ = (
+            be.from_numpy(mask[window])
+            for mask in self._compiled_masks(bits_per_word, phase, first + num_words)
+        )
+        return be.bitwise_or(be.bitwise_and(be.bitwise_xor(words, xor), keep), set_)
 
     def restrict(self, bit_offset: int, num_bits: int) -> "FaultMap":
         """The sub-map covering ``[bit_offset, bit_offset + num_bits)``, re-based to 0."""

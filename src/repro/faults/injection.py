@@ -21,17 +21,16 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import FaultModelError
+from repro.errors import FaultModelError, QuantizationError
 from repro.faults.fault_map import FaultMap
 from repro.nn.backend import ArrayBackend, resolve_backend
 from repro.nn.network import Sequential
 from repro.obs import get_metrics, span
-from repro.quant.fixed_point import QuantizationConfig, quantize
-from repro.quant.qtensor import QuantizedTensor
+from repro.quant.fixed_point import QuantizationConfig, _encode, _scale_for
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.warmcache import warm_cache
 
@@ -100,8 +99,25 @@ class MemoryLayout:
         return (self.total_bits + 7) // 8
 
 
+@dataclass(frozen=True)
+class QuantizedMemory:
+    """The quantized weight memory in layout order.
+
+    Per value: its stored two's-complement word (unsigned int64) and its scale.
+    """
+
+    words: np.ndarray
+    scales: np.ndarray
+
+
 class BitErrorInjector:
-    """Applies a persistent fault map to a network's quantized parameters."""
+    """Applies a persistent fault map to a network's quantized parameters.
+
+    Every operator runs one flat pass over the weight memory: the parameters
+    are concatenated in :class:`MemoryLayout` order, encoded once against a
+    per-value scale vector, corrupted with the fault map's compiled masks,
+    dequantized once and split back into per-tensor views.
+    """
 
     def __init__(
         self,
@@ -117,6 +133,11 @@ class BitErrorInjector:
         self.layout = layout
         self.quantization = quantization
         self.backend = resolve_backend(backend)
+        #: Each tensor's placement and its slice of the flat value array.
+        self._slices = []
+        for segment in layout.segments().values():
+            start = segment.bit_offset // quantization.bits
+            self._slices.append((segment, slice(start, start + segment.num_values)))
 
     # ------------------------------------------------------------------ construction helpers
     @classmethod
@@ -135,38 +156,46 @@ class BitErrorInjector:
         return self.layout.total_bits
 
     # ------------------------------------------------------------------ core operator
-    def quantize_state(
-        self, state: Mapping[str, np.ndarray]
-    ) -> Dict[str, QuantizedTensor]:
-        """Quantize every tensor of ``state`` once, for repeated corruption.
+    def quantize_state(self, state: Mapping[str, np.ndarray]) -> QuantizedMemory:
+        """Quantize ``state`` once into its weight memory, for repeated corruption.
 
         The fault-map evaluation protocol corrupts the *same* deployed
         parameters under hundreds of maps; quantization (per-tensor scale
-        search plus rounding) is by far the most expensive part of the
-        ``BErr_p`` operator, so it is hoisted here and
-        :meth:`perturb_quantized_state` then corrupts per-map views of the
-        stored integer codes.
+        search plus rounding) is hoisted here and
+        :meth:`perturb_quantized_state` then corrupts the stored words.
+        Scales come from each tensor (``per_layer``) or from the whole memory.
         """
-        quantized: Dict[str, QuantizedTensor] = {}
-        for name, values in state.items():
-            self.layout.segment(name)  # validate the tensor has a placement
-            quantized[name] = quantize(
-                np.asarray(values, dtype=np.float64), self.quantization, backend=self.backend
+        if set(state) != {segment.name for segment, _ in self._slices}:
+            raise KeyError(f"parameters {sorted(state)} do not match the memory layout")
+        be, config = self.backend, self.quantization
+        flat = [np.asarray(state[s.name], dtype=np.float64).ravel() for s, _ in self._slices]
+        values = be.asarray(np.concatenate(flat), "float64")
+        if not be.all_finite(values):
+            raise QuantizationError("cannot quantize an array containing NaN or infinity")
+        if config.per_layer:
+            scales = [_scale_for(values[window], config, be) for _, window in self._slices]
+            scale_vector = np.repeat(scales, [s.num_values for s, _ in self._slices])
+        else:
+            scale_vector = np.full(be.numel(values), _scale_for(values, config, be))
+        codes = _encode(values, be.from_numpy(scale_vector), config.bits, be)
+        low, high = -(2 ** (config.bits - 1)), 2 ** (config.bits - 1) - 1
+        if codes.size and (codes.min() < low or codes.max() > high):
+            raise QuantizationError(
+                f"codes outside the representable range [{low}, {high}] for {config.bits} bits"
             )
-        return quantized
+        words = np.bitwise_and(codes.astype(np.int64), (1 << config.bits) - 1)
+        return QuantizedMemory(words=words, scales=scale_vector)
 
-    def quantize_state_cached(
-        self, state: Mapping[str, np.ndarray]
-    ) -> Dict[str, QuantizedTensor]:
+    def quantize_state_cached(self, state: Mapping[str, np.ndarray]) -> QuantizedMemory:
         """Like :meth:`quantize_state`, but warm-cached by parameter content.
 
         Fused sweep jobs and warm pool workers evaluate the *same* trained
         policy at several BER levels (one :func:`evaluate_under_faults` call
-        each); keying the quantized codes by a content hash of the raw
+        each); keying the quantized memory by a content hash of the raw
         parameters + quantization config + backend lets every call after the
-        first skip the per-tensor scale search entirely.  Safe because
+        first skip the scale search entirely.  Safe because
         :meth:`perturb_quantized_state` never mutates its input — a single
-        quantized state legitimately serves any number of fault maps, and by
+        quantized memory legitimately serves any number of fault maps, and by
         the same invariant, any number of callers.
         """
         key = (
@@ -179,13 +208,13 @@ class BitErrorInjector:
         )
 
     def perturb_quantized_state(
-        self, quantized: Mapping[str, QuantizedTensor], fault_map: FaultMap
+        self, quantized: QuantizedMemory, fault_map: FaultMap
     ) -> Dict[str, np.ndarray]:
-        """Corrupt an already-quantized state under one fault map and dequantize.
+        """Corrupt an already-quantized memory under one fault map and dequantize.
 
-        ``quantized`` is never modified; each call produces an independent
-        dequantized view, so one :meth:`quantize_state` result serves any
-        number of fault maps.
+        ``quantized`` is never modified; each call returns independent
+        per-tensor views of one freshly dequantized array, so one
+        :meth:`quantize_state` result serves any number of fault maps.
         """
         if fault_map.memory_bits < self.layout.total_bits:
             raise FaultModelError(
@@ -193,22 +222,23 @@ class BitErrorInjector:
                 f"{self.layout.total_bits} bits"
             )
         be = self.backend
+        bits = self.quantization.bits
         metrics = get_metrics()
         started = time.perf_counter() if metrics.enabled else 0.0
-        flipped = 0
-        perturbed: Dict[str, np.ndarray] = {}
         with span("faults.corrupt"):
-            for name, tensor in quantized.items():
-                segment = self.layout.segment(name)
-                corrupted = self._corrupt_tensor(tensor, fault_map, segment.bit_offset)
-                if metrics.enabled:
-                    flipped += be.popcount(
-                        be.bitwise_xor(
-                            be.from_numpy(tensor.to_unsigned().ravel()),
-                            be.from_numpy(corrupted.to_unsigned().ravel()),
-                        )
-                    )
-                perturbed[name] = corrupted.dequantize().reshape(segment.shape)
+            corrupted = fault_map.apply_to_words(quantized.words, bits, backend=be)
+            if metrics.enabled:
+                flipped = be.popcount(be.bitwise_xor(be.from_numpy(quantized.words), corrupted))
+            words = be.to_numpy(corrupted)
+            modulus = 1 << bits
+            if words.size and (words.min() < 0 or words.max() >= modulus):
+                raise QuantizationError(
+                    f"unsigned words must be in [0, {modulus}), got range "
+                    f"[{words.min()}, {words.max()}]"
+                )
+            signed = np.where(words >= modulus >> 1, words - modulus, words)
+            values = signed.astype(np.float64) * quantized.scales
+            perturbed = {s.name: values[window].reshape(s.shape) for s, window in self._slices}
         if metrics.enabled:
             metrics.counter("faults.maps_applied").inc()
             metrics.counter("faults.bits_flipped").inc(flipped)
@@ -226,29 +256,22 @@ class BitErrorInjector:
         """
         return self.perturb_quantized_state(self.quantize_state(state), fault_map)
 
-    def perturb_network(self, network: Sequential, fault_map: FaultMap) -> Sequential:
-        """Clone ``network`` and load the bit-error-perturbed parameters into the clone."""
-        clone = network.clone()
-        clone.load_state_dict(self.perturb_state_dict(network.state_dict(), fault_map))
-        return clone
+    def perturb_network(
+        self, network: Sequential, fault_map: FaultMap, out: Optional[Sequential] = None
+    ) -> Sequential:
+        """Load the bit-error-perturbed parameters of ``network`` into ``out``.
+
+        ``out`` defaults to a fresh clone of ``network``; passing a network of
+        the same architecture reuses it (its parameters are overwritten).
+        """
+        target = network.clone() if out is None else out
+        target.load_state_dict(self.perturb_state_dict(network.state_dict(), fault_map))
+        return target
 
     def quantize_only(self, state: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """The error-free deployment view: quantize and dequantize without faults."""
         empty = FaultMap.empty(self.layout.total_bits)
         return self.perturb_state_dict(state, empty)
-
-    def _corrupt_tensor(
-        self, tensor: QuantizedTensor, fault_map: FaultMap, bit_offset: int
-    ) -> QuantizedTensor:
-        words = tensor.to_unsigned().ravel()
-        corrupted = fault_map.apply_to_words(
-            words, tensor.bits, bit_offset, backend=self.backend
-        )
-        return QuantizedTensor.from_unsigned(
-            self.backend.to_numpy(corrupted).reshape(tensor.shape),
-            scale=tensor.scale,
-            bits=tensor.bits,
-        )
 
     # ------------------------------------------------------------------ measurement helpers
     def count_flipped_bits(
@@ -260,19 +283,9 @@ class BitErrorInjector:
         the stuck value, so this is typically about half of ``num_faults``.
         """
         be = self.backend
-        flipped = 0
-        for name, values in state.items():
-            segment = self.layout.segment(name)
-            tensor = quantize(
-                np.asarray(values, dtype=np.float64), self.quantization, backend=be
-            )
-            words = tensor.to_unsigned().ravel()
-            corrupted = fault_map.apply_to_words(
-                words, tensor.bits, segment.bit_offset, backend=be
-            )
-            difference = be.bitwise_xor(be.from_numpy(words), corrupted)
-            flipped += be.popcount(difference)
-        return flipped
+        words = self.quantize_state(state).words
+        corrupted = fault_map.apply_to_words(words, self.quantization.bits, backend=be)
+        return be.popcount(be.bitwise_xor(be.from_numpy(words), corrupted))
 
 
 def inject_bit_errors(

@@ -228,16 +228,6 @@ class ArrayBackend:
     def floor_divide(self, a, b):
         raise NotImplementedError
 
-    def bitwise_xor_at(self, target, indices, masks) -> None:
-        """In-place ``target[indices] ^= masks`` with duplicate-index accumulation."""
-        raise NotImplementedError
-
-    def bitwise_and_at(self, target, indices, masks) -> None:
-        raise NotImplementedError
-
-    def bitwise_or_at(self, target, indices, masks) -> None:
-        raise NotImplementedError
-
     def popcount(self, values) -> int:
         """Total number of set bits across an unsigned-integer-valued array."""
         raise NotImplementedError

@@ -229,15 +229,6 @@ class NumpyBackend(ArrayBackend):
     def floor_divide(self, a, b):
         return np.floor_divide(a, b)
 
-    def bitwise_xor_at(self, target, indices, masks) -> None:
-        np.bitwise_xor.at(target, indices, masks)
-
-    def bitwise_and_at(self, target, indices, masks) -> None:
-        np.bitwise_and.at(target, indices, masks)
-
-    def bitwise_or_at(self, target, indices, masks) -> None:
-        np.bitwise_or.at(target, indices, masks)
-
     def popcount(self, values) -> int:
         values = np.asarray(values)
         if values.size == 0:

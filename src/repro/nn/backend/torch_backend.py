@@ -20,9 +20,7 @@ threaded matmuls on the gradient-bound training path
 (``benchmarks/test_bench_backend.py`` gates the speedup).
 
 Conversions at the module boundary are zero-copy: ``torch.from_numpy`` and
-``Tensor.numpy()`` share memory for CPU tensors, which also lets the
-duplicate-accumulating ``*_at`` scatter ops delegate to numpy's ``ufunc.at``
-in place.
+``Tensor.numpy()`` share memory for CPU tensors.
 """
 
 from __future__ import annotations
@@ -277,28 +275,6 @@ class TorchBackend(ArrayBackend):
 
     def floor_divide(self, a, b):
         return torch.div(a, b, rounding_mode="floor")
-
-    # The scatter ops must accumulate when several fault bits land in the same
-    # word; CPU tensors share memory with their numpy views, so numpy's
-    # ``ufunc.at`` updates the tensor in place without a copy.  On an
-    # accelerator the update round-trips through a host copy — the fault path
-    # is rare enough that correctness beats a custom scatter kernel.
-    def _scatter_at(self, ufunc, target, indices, masks) -> None:
-        if target.device.type == "cpu":
-            ufunc.at(target.numpy(), self.to_numpy(indices), self.to_numpy(masks))
-        else:
-            host = target.detach().cpu().numpy()
-            ufunc.at(host, self.to_numpy(indices), self.to_numpy(masks))
-            target.copy_(torch.from_numpy(host))
-
-    def bitwise_xor_at(self, target, indices, masks) -> None:
-        self._scatter_at(np.bitwise_xor, target, indices, masks)
-
-    def bitwise_and_at(self, target, indices, masks) -> None:
-        self._scatter_at(np.bitwise_and, target, indices, masks)
-
-    def bitwise_or_at(self, target, indices, masks) -> None:
-        self._scatter_at(np.bitwise_or, target, indices, masks)
 
     def popcount(self, values) -> int:
         array = self.to_numpy(values)

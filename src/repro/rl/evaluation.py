@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -149,7 +149,7 @@ def evaluate_under_faults(
     num_fault_maps: int = 10,
     episodes_per_map: int = 5,
     quantization: QuantizationConfig = QuantizationConfig(),
-    fault_maps: Optional[Sequence[FaultMap]] = None,
+    fault_maps: Optional[Iterable[FaultMap]] = None,
     stuck_at_1_bias: float = 0.5,
     rng: SeedLike = 0,
     batch_size: Optional[int] = None,
@@ -167,8 +167,10 @@ def evaluate_under_faults(
     """
     injector = BitErrorInjector.for_network(network, quantization)
     map_rng, episode_rng = spawn_generators(rng, 2)
+    # Maps are consumed one at a time: each caches its compiled corruption
+    # masks, so holding every applied map alive would grow memory per map.
     if fault_maps is None:
-        maps: List[FaultMap] = [
+        maps: Iterable[FaultMap] = (
             FaultMap.random(
                 injector.memory_bits,
                 ber_percent / 100.0,
@@ -177,11 +179,9 @@ def evaluate_under_faults(
                 label=f"eval-map-{index}",
             )
             for index in range(num_fault_maps)
-        ]
+        )
     else:
-        maps = list(fault_maps)
-    if not maps:
-        raise ValueError("at least one fault map is required")
+        maps = fault_maps
 
     # Quantize the clean parameters once; each map corrupts a per-map view.
     # The warm cache extends "once" across calls: fused BER levels and warm
@@ -204,11 +204,13 @@ def evaluate_under_faults(
         )
         per_map_success.append(success_rate(results))
         per_map_paths.append(mean_path_length(results))
+    if not per_map_success:
+        raise ValueError("at least one fault map is required")
 
     path_samples = [path for path in per_map_paths if not math.isnan(path)]
     return RobustnessPoint(
         ber_percent=ber_percent,
-        num_fault_maps=len(maps),
+        num_fault_maps=len(per_map_success),
         episodes_per_map=episodes_per_map,
         success_rate=float(np.mean(per_map_success)),
         success_rate_std=float(np.std(per_map_success)),

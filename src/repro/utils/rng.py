@@ -86,9 +86,11 @@ def choice_without_replacement(
 ) -> np.ndarray:
     """Sample ``size`` distinct indices from ``range(population)``.
 
-    Uses Floyd's algorithm when ``size`` is much smaller than ``population``
-    to avoid materialising a full permutation (fault maps over multi-megabit
-    memories sample a tiny fraction of all bit cells).
+    When ``size`` is much smaller than ``population`` it rejection-samples
+    batches of candidates (the first occurrence of each value not yet
+    selected is kept, in draw order) to avoid materialising a full
+    permutation (fault maps over multi-megabit memories sample a tiny
+    fraction of all bit cells).
     """
     if size > population:
         raise ValueError(f"cannot sample {size} items from population of {population}")
@@ -96,20 +98,17 @@ def choice_without_replacement(
         return np.empty(0, dtype=np.int64)
     if size > population // 8:
         return rng.permutation(population)[:size].astype(np.int64)
-    selected: set[int] = set()
     result = np.empty(size, dtype=np.int64)
     count = 0
     while count < size:
         needed = size - count
         candidates = rng.integers(0, population, size=needed * 2)
-        for value in candidates:
-            value = int(value)
-            if value not in selected:
-                selected.add(value)
-                result[count] = value
-                count += 1
-                if count == size:
-                    break
+        # Accept, in draw order, the first occurrence of every value not yet selected.
+        _, first = np.unique(candidates, return_index=True)
+        fresh = candidates[np.sort(first)]
+        fresh = fresh[~np.isin(fresh, result[:count])][:needed]
+        result[count : count + fresh.size] = fresh
+        count += fresh.size
     return result
 
 

@@ -172,6 +172,46 @@ class TestBerryTrainer:
             assert trainer.num_injections == history.gradient_steps
 
 
+class TestPersistentPerturbedNetworks:
+    """Reusing θ̃/θ̃⁻ networks across steps equals cloning fresh ones per step."""
+
+    @pytest.mark.parametrize(
+        "berry",
+        [
+            BerryConfig(ber_percent=2.0),
+            BerryConfig(ber_percent=2.0, injection_mode="on_device"),
+            BerryConfig(ber_percent=2.0, perturb_target=False),
+        ],
+        ids=["offline", "on_device", "clean_target"],
+    )
+    def test_matches_fresh_clones_per_step(self, small_env_config, fast_config, berry, monkeypatch):
+        from repro.envs.navigation import NavigationEnv
+
+        def make_trainer():
+            return BerryTrainer(
+                NavigationEnv(small_env_config, rng=3), policy_spec=mlp((16,)),
+                config=fast_config, berry=berry, rng=5,
+            )
+
+        persistent, fresh = make_trainer(), make_trainer()
+        perturb = fresh.injector.perturb_network
+        monkeypatch.setattr(
+            fresh.injector, "perturb_network",
+            lambda network, fault_map, out=None: perturb(network, fault_map),
+        )
+        for trainer in (persistent, fresh):
+            for step in range(6):
+                trainer.learn_on_batch(make_batch(trainer.env, rng_seed=step))
+            trainer.train(6)
+        assert persistent.num_injections == fresh.num_injections > 6
+        assert persistent.history.losses == fresh.history.losses
+        for network in ("q_network", "target_network"):
+            ours = getattr(persistent, network).state_dict()
+            theirs = getattr(fresh, network).state_dict()
+            for name in ours:
+                assert np.array_equal(ours[name].view(np.int64), theirs[name].view(np.int64))
+
+
 class TestModes:
     def test_train_classical_returns_trainer(self, small_env, fast_config):
         trainer = train_classical(small_env, 3, policy_spec=mlp((16,)), config=fast_config, rng=0)

@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import FaultModelError
+from repro.errors import FaultModelError, QuantizationError
 from repro.faults.chips import CHIP_COLUMN_ALIGNED, CHIP_RANDOM, ChipProfile, get_chip
 from repro.faults.fault_map import FaultKind, FaultMap, FaultMapLibrary
 from repro.faults.injection import BitErrorInjector, MemoryLayout, inject_bit_errors
 from repro.faults.sram import SramGeometry
 from repro.nn.policies import build_policy, mlp
-from repro.quant.fixed_point import QuantizationConfig
+from repro.obs import collecting_metrics
+from repro.quant.fixed_point import (
+    QuantizationConfig,
+    quantization_round_trip,
+    quantize,
+    quantize_state_dict,
+)
+from repro.quant.qtensor import QuantizedTensor
 
 
 class TestFaultMap:
@@ -202,6 +209,22 @@ class TestMemoryLayoutAndInjector:
         with pytest.raises(FaultModelError):
             injector.perturb_state_dict(network.state_dict(), FaultMap.empty(8))
 
+    def test_non_finite_parameters_rejected(self, network):
+        injector = BitErrorInjector.for_network(network)
+        state = network.state_dict()
+        state["fc1.weight"][0, 0] = np.nan
+        with pytest.raises(QuantizationError):
+            injector.perturb_state_dict(state, FaultMap.empty(injector.memory_bits))
+
+    def test_state_must_cover_the_layout(self, network):
+        injector = BitErrorInjector.for_network(network)
+        state = network.state_dict()
+        del state["fc1.bias"]
+        with pytest.raises(KeyError):
+            injector.quantize_state(state)
+        with pytest.raises(KeyError):
+            injector.quantize_state({**network.state_dict(), "extra": np.zeros(2)})
+
     def test_bits_mismatch_rejected(self, network):
         layout = MemoryLayout.from_network(network, bits_per_value=8)
         with pytest.raises(FaultModelError):
@@ -254,3 +277,185 @@ class TestChips:
     def test_invalid_profile(self):
         with pytest.raises(FaultModelError):
             ChipProfile(name="bad", pattern="diagonal")
+
+
+# ---------------------------------------------------------------------- frozen BErr_p reference
+# A test-only copy of the per-tensor operator the flat pass replaced: clone,
+# per-tensor ``quantize``, a range mask plus ``ufunc.at`` scatters, then
+# ``from_unsigned`` and dequantize.  The flat pass must match it byte for byte.
+
+
+def _reference_corrupt_words(fault_map, words, bits_per_word, bit_offset):
+    words = np.array(words, dtype=np.int64)
+    total_bits = words.size * bits_per_word
+    in_range = (fault_map.indices >= bit_offset) & (fault_map.indices < bit_offset + total_bits)
+    local = fault_map.indices[in_range] - bit_offset
+    kinds = fault_map.kinds[in_range]
+    word_index = local // bits_per_word
+    masks = np.int64(1) << (local % bits_per_word)
+    flip = kinds == int(FaultKind.FLIP)
+    stuck0 = kinds == int(FaultKind.STUCK_AT_0)
+    stuck1 = kinds == int(FaultKind.STUCK_AT_1)
+    np.bitwise_xor.at(words, word_index[flip], masks[flip])
+    np.bitwise_and.at(words, word_index[stuck0], ~masks[stuck0])
+    np.bitwise_or.at(words, word_index[stuck1], masks[stuck1])
+    return words
+
+
+def _reference_quantize_state(injector, state):
+    return {
+        name: quantize(np.asarray(values, dtype=np.float64), injector.quantization,
+                       backend=injector.backend)
+        for name, values in state.items()
+    }
+
+
+def _reference_perturb_quantized(injector, quantized, fault_map):
+    """``(perturbed state, flipped bits)`` of the per-tensor path."""
+    perturbed, flipped = {}, 0
+    for name, tensor in quantized.items():
+        segment = injector.layout.segment(name)
+        words = tensor.to_unsigned().ravel()
+        corrupted = _reference_corrupt_words(fault_map, words, tensor.bits, segment.bit_offset)
+        flipped += sum(bin(int(w)).count("1") for w in words ^ corrupted)
+        rebuilt = QuantizedTensor.from_unsigned(
+            corrupted.reshape(tensor.shape), scale=tensor.scale, bits=tensor.bits
+        )
+        perturbed[name] = rebuilt.dequantize().reshape(segment.shape)
+    return perturbed, flipped
+
+
+def _assert_same_bytes(actual, expected):
+    assert list(actual) == list(expected)
+    for name in expected:
+        assert actual[name].shape == expected[name].shape
+        assert np.array_equal(
+            np.ascontiguousarray(actual[name]).view(np.int64), expected[name].view(np.int64)
+        ), name
+
+
+@st.composite
+def _fault_scenarios(draw):
+    """A small policy plus a fault map over (at least) its weight memory."""
+    hidden = draw(st.integers(min_value=1, max_value=12))
+    network = build_policy(
+        mlp((hidden,)), (draw(st.integers(1, 6)),), draw(st.integers(1, 5)),
+        rng=draw(st.integers(0, 2**16)),
+    )
+    weight_scale = draw(st.sampled_from([1e-3, 1.0, 40.0]))
+    network.load_state_dict(
+        {name: values * weight_scale for name, values in network.state_dict().items()}
+    )
+    memory_bits = network.num_parameters() * 8
+    seed = draw(st.integers(0, 2**16))
+    ber = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 0.6)))
+    pattern = draw(st.sampled_from(["random", "column_aligned", "empty"]))
+    extra_bits = draw(st.sampled_from([0, 0, 5, 1000]))  # maps larger than the memory
+    if pattern == "empty":
+        fault_map = FaultMap.empty(memory_bits + extra_bits)
+    elif pattern == "column_aligned":
+        # The library path re-bases a larger geometry and reassigns memory_bits.
+        fault_map = FaultMapLibrary(
+            memory_bits + extra_bits, ber, count=1, rng=seed, pattern="column_aligned",
+            stuck_at_1_bias=draw(st.floats(0.0, 1.0)),
+        ).get(0)
+    else:
+        fault_map = FaultMap.random(
+            memory_bits + extra_bits, ber, rng=seed,
+            stuck_at_1_bias=draw(st.floats(0.0, 1.0)),
+            flip_fraction=draw(st.floats(0.0, 1.0)),
+        )
+    return network, fault_map
+
+
+class TestFrozenReferencePin:
+    """The flat BErr_p pass is byte-identical to the per-tensor path it replaced."""
+
+    @given(scenario=_fault_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_operators_match_per_tensor_reference(self, scenario):
+        network, fault_map = scenario
+        injector = BitErrorInjector.for_network(network)
+        state = network.state_dict()
+        reference_quantized = _reference_quantize_state(injector, state)
+        expected, expected_flipped = _reference_perturb_quantized(
+            injector, reference_quantized, fault_map
+        )
+        out = network.clone()
+        out.load_state_dict({name: np.full_like(v, np.nan) for name, v in state.items()})
+        # Repeated use of one map exercises the compiled-mask cache.
+        for _ in range(2):
+            with collecting_metrics() as registry:
+                _assert_same_bytes(injector.perturb_state_dict(state, fault_map), expected)
+            assert registry.snapshot()["counters"]["faults.bits_flipped"] == expected_flipped
+            _assert_same_bytes(
+                injector.perturb_quantized_state(injector.quantize_state(state), fault_map),
+                expected,
+            )
+            assert injector.perturb_network(network, fault_map, out=out) is out
+            _assert_same_bytes(out.state_dict(), expected)
+            assert injector.count_flipped_bits(state, fault_map) == expected_flipped
+        _assert_same_bytes(injector.perturb_network(network, fault_map).state_dict(), expected)
+        _assert_same_bytes(network.state_dict(), state)  # the source is untouched
+
+    @given(scenario=_fault_scenarios(), offset_words=st.integers(0, 3), phase=st.integers(0, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_apply_to_words_matches_scatter_reference(self, scenario, offset_words, phase):
+        _, fault_map = scenario
+        bit_offset = offset_words * 8 + phase
+        num_words = (fault_map.memory_bits - bit_offset) // 8
+        words = np.random.default_rng(phase).integers(0, 256, size=num_words)
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                np.asarray(fault_map.apply_to_words(words, 8, bit_offset)),
+                _reference_corrupt_words(fault_map, words, 8, bit_offset),
+            )
+
+    def test_several_faults_in_one_word(self):
+        fault_map = FaultMap(
+            memory_bits=16,
+            indices=np.array([0, 1, 2, 9, 10, 11]),
+            kinds=np.array([0, 1, 2, 2, 0, 1]),
+        )
+        words = np.array([0b10, 0b1101])
+        np.testing.assert_array_equal(
+            fault_map.apply_to_words(words, 8), _reference_corrupt_words(fault_map, words, 8, 0)
+        )
+
+    def test_reassigned_faults_invalidate_cached_masks(self):
+        fault_map = FaultMap(
+            memory_bits=16, indices=np.array([0]), kinds=np.array([int(FaultKind.STUCK_AT_1)])
+        )
+        words = np.zeros(2, dtype=np.int64)
+        assert list(fault_map.apply_to_words(words, 8)) == [1, 0]
+        fault_map.indices = np.array([9])
+        assert list(fault_map.apply_to_words(words, 8)) == [0, 2]
+        fault_map.kinds = np.array([int(FaultKind.FLIP)], dtype=np.int8)
+        assert list(fault_map.apply_to_words(np.array([0, 2]), 8)) == [0, 0]
+        assert list(fault_map.apply_to_words(words, 8)) == [0, 2]
+
+
+class TestGlobalScaleQuantization:
+    """``QuantizationConfig(per_layer=False)`` quantizes with one global scale."""
+
+    @pytest.fixture
+    def state(self):
+        network = build_policy(mlp((12,)), (5,), 4, rng=0)
+        return network, network.state_dict()
+
+    def test_quantize_only_matches_global_round_trip(self, state):
+        network, values = state
+        config = QuantizationConfig(per_layer=False)
+        injector = BitErrorInjector.for_network(network, config)
+        _assert_same_bytes(injector.quantize_only(values), quantization_round_trip(values, config))
+
+    def test_perturb_and_count_use_the_global_scale(self, state):
+        network, values = state
+        config = QuantizationConfig(per_layer=False)
+        injector = BitErrorInjector.for_network(network, config)
+        fault_map = FaultMap.random(injector.memory_bits, 0.05, rng=3, flip_fraction=0.3)
+        quantized = quantize_state_dict(values, config)
+        assert len({tensor.scale for tensor in quantized.values()}) == 1
+        expected, expected_flipped = _reference_perturb_quantized(injector, quantized, fault_map)
+        _assert_same_bytes(injector.perturb_state_dict(values, fault_map), expected)
+        assert injector.count_flipped_bits(values, fault_map) == expected_flipped

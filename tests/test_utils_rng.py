@@ -70,6 +70,41 @@ class TestRngFactory:
         assert factory.seeds("maps", 4) == RngFactory(9).seeds("maps", 4)
 
 
+def _reference_choice(rng, population, size):
+    """The per-value python loop ``choice_without_replacement`` replaced."""
+    if size == 0:
+        return np.empty(0, dtype=np.int64)
+    if size > population // 8:
+        return rng.permutation(population)[:size].astype(np.int64)
+    selected = set()
+    result = np.empty(size, dtype=np.int64)
+    count = 0
+    while count < size:
+        needed = size - count
+        for value in rng.integers(0, population, size=needed * 2):
+            value = int(value)
+            if value not in selected:
+                selected.add(value)
+                result[count] = value
+                count += 1
+                if count == size:
+                    break
+    return result
+
+
+class _CollidingGenerator:
+    """Draws candidates from only ``distinct`` values, so most of them collide."""
+
+    def __init__(self, seed, distinct):
+        self.inner = np.random.default_rng(seed)
+        self.distinct = distinct
+        self.calls = 0
+
+    def integers(self, low, high, size):
+        self.calls += 1
+        return self.inner.integers(low, min(high, low + self.distinct), size=size)
+
+
 class TestChoiceWithoutReplacement:
     @given(
         population=st.integers(min_value=1, max_value=5000),
@@ -82,6 +117,43 @@ class TestChoiceWithoutReplacement:
         assert len(np.unique(result)) == size
         if size:
             assert result.min() >= 0 and result.max() < population
+
+    @given(
+        population=st.integers(min_value=1, max_value=4000),
+        size_hint=st.sampled_from(["zero", "one", "below", "at", "above", "random"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_reference_loop_and_generator_state(self, population, size_hint, seed):
+        threshold = population // 8
+        size = {
+            "zero": 0,
+            "one": min(1, population),
+            "below": max(threshold - 1, 0),
+            "at": threshold,
+            "above": min(threshold + 1, population),
+            "random": seed % (threshold + 1),
+        }[size_hint]
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        result = choice_without_replacement(ours, population, size)
+        np.testing.assert_array_equal(result, _reference_choice(theirs, population, size))
+        assert result.dtype == np.int64
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("size,distinct", [(1, 1), (5, 6), (40, 41), (100, 100)])
+    def test_heavy_collisions_match_reference(self, size, distinct):
+        # Draws confined to ``distinct`` values collide constantly, forcing
+        # many candidate batches (the values-already-selected filter).
+        batches = []
+        for seed in range(20):
+            ours, theirs = _CollidingGenerator(seed, distinct), _CollidingGenerator(seed, distinct)
+            np.testing.assert_array_equal(
+                choice_without_replacement(ours, 4000, size),
+                _reference_choice(theirs, 4000, size),
+            )
+            assert ours.calls == theirs.calls
+            assert ours.inner.bit_generator.state == theirs.inner.bit_generator.state
+            batches.append(ours.calls)
+        assert max(batches) > (1 if size > 1 else 0)
 
     def test_oversample_rejected(self):
         with pytest.raises(ValueError):
