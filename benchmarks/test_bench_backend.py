@@ -44,7 +44,7 @@ GATE_LANES = 64
 
 
 # ---------------------------------------------------------------------------
-# Gradient-bound DQN training: serial vs numpy-backend vs torch-backend
+# Gradient-bound DQN training: one lane vs numpy-backend vs torch-backend
 # ---------------------------------------------------------------------------
 
 def _config(train_lanes: int, backend: str) -> DqnConfig:
@@ -71,25 +71,10 @@ def _trainer(train_lanes: int, backend: str) -> DqnTrainer:
     )
 
 
-def _gradient_steps_per_second(backend: str, episodes: int, serial: bool = False) -> float:
-    trainer = _trainer(1 if serial else GATE_LANES, backend)
-    start = time.perf_counter()
-    if serial:
-        trainer.train_serial(episodes)
-    else:
-        trainer.train(episodes)
-    elapsed = time.perf_counter() - start
-    assert trainer.history.num_episodes == episodes
-    assert trainer.history.gradient_steps > 0
-    return trainer.history.gradient_steps / elapsed
-
-
 def _train(backend: str, episodes: int, serial: bool = False) -> DqnTrainer:
+    """Train on ``GATE_LANES`` lanes, or on one lane when ``serial``."""
     trainer = _trainer(1 if serial else GATE_LANES, backend)
-    if serial:
-        trainer.train_serial(episodes)
-    else:
-        trainer.train(episodes)
+    trainer.train(episodes)
     return trainer
 
 

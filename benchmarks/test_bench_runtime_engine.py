@@ -5,7 +5,8 @@ densified candidate-voltage ladder, so each job does a few hundred
 operating-point evaluations) to compare:
 
 * the serial backend,
-* a 2-worker multiprocessing pool on the identical sweep,
+* the 2-worker warm pool on the identical sweep (spawned once, reused by
+  every round),
 * an immediate re-run against a warm content-addressed cache.
 
 The assertions pin the engine's semantics (identical results from both
@@ -21,7 +22,8 @@ import numpy as np
 from repro.experiments.fig5 import fig5_sweep_spec
 from repro.runtime.cache import ResultCache
 from repro.runtime.engine import SweepRunner
-from repro.runtime.executor import MultiprocessExecutor, SerialExecutor
+from repro.runtime.executor import SerialExecutor
+from repro.runtime.pool import WarmPoolExecutor
 
 #: A dense voltage ladder makes each fig5 cell expensive enough to dispatch.
 DENSE_VOLTAGES = tuple(np.round(np.linspace(0.86, 0.70, 1000), 6))
@@ -42,7 +44,7 @@ def test_bench_runtime_serial(benchmark):
 
 def test_bench_runtime_worker_pool(benchmark):
     sweep = _sweep()
-    executor = MultiprocessExecutor(workers=2)
+    executor = WarmPoolExecutor(workers=2)
     report = benchmark.pedantic(
         lambda: SweepRunner(executor=executor).run(sweep), rounds=3, iterations=1
     )

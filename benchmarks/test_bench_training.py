@@ -1,17 +1,18 @@
-"""Benchmark: serial vs lockstep-batched DQN training.
+"""Benchmark: single-lane vs lockstep-batched DQN training.
 
 The batched trainer collects B transitions per lockstep step — one batched Q
 forward, one batched environment step and one vectorised replay insert for
-the whole batch — where the serial loop pays python/numpy dispatch per
-transition.  Gradient work is *identical* per transition on both paths (the
-cadence is indexed by the global transition counter), so the measured metric
-is end-to-end environment-steps per second of the full training loop.
+the whole batch — where one lane (``train_lanes=1``, which replays the scalar
+training loop bitwise) pays python/numpy dispatch per transition.  Gradient
+work is *identical* per transition on both paths (the cadence is indexed by
+the global transition counter), so the measured metric is end-to-end
+environment-steps per second of the full training loop.
 
 ``test_batched_training_speedup`` is the acceptance gate: >= 3x
-environment-steps/sec over the serial reference loop at B >= 8 lanes (the
-gate runs B = 64, the rollout core's default lane width) on a
-collection-bound cadence.  The pytest-benchmark groups additionally record
-the serial / B=8 / B=64 shapes for tracking.
+environment-steps/sec over one lane at B >= 8 lanes (the gate runs B = 64,
+the rollout core's default lane width) on a collection-bound cadence.  The
+pytest-benchmark groups additionally record the B=1 / B=8 / B=64 shapes for
+tracking.
 """
 
 import time
@@ -53,23 +54,14 @@ def _trainer(train_lanes: int) -> DqnTrainer:
     )
 
 
-def _steps_per_second(train_lanes: int, episodes: int, serial: bool = False) -> float:
+def _steps_per_second(train_lanes: int, episodes: int) -> float:
     trainer = _trainer(train_lanes)
     start = time.perf_counter()
-    if serial:
-        trainer.train_serial(episodes)
-    else:
-        trainer.train(episodes)
+    trainer.train(episodes)
     elapsed = time.perf_counter() - start
     assert trainer.history.num_episodes == episodes
     assert trainer.history.gradient_steps > 0
     return trainer.history.total_steps / elapsed
-
-
-def _train_serial_48() -> DqnTrainer:
-    trainer = _trainer(1)
-    trainer.train_serial(48)
-    return trainer
 
 
 def _train_batched(lanes: int, episodes: int) -> DqnTrainer:
@@ -80,9 +72,9 @@ def _train_batched(lanes: int, episodes: int) -> DqnTrainer:
 
 @pytest.mark.benchmark(group="dqn-training")
 def test_bench_training_serial(benchmark):
-    trainer = benchmark.pedantic(_train_serial_48, rounds=3, iterations=1)
+    trainer = benchmark.pedantic(_train_batched, args=(1, 48), rounds=3, iterations=1)
     assert trainer.history.num_episodes == 48
-    print(f"\nserial reference loop: {trainer.history.total_steps} env steps")
+    print(f"\nsingle lane: {trainer.history.total_steps} env steps")
 
 
 @pytest.mark.benchmark(group="dqn-training")
@@ -116,7 +108,7 @@ def _gradient_bound_config(train_lanes: int) -> DqnConfig:
     )
 
 
-def _train_gradient_bound(train_lanes: int, episodes: int, serial: bool = False) -> DqnTrainer:
+def _train_gradient_bound(train_lanes: int, episodes: int) -> DqnTrainer:
     config = FAST_PROFILE.navigation_for_density(ObstacleDensity.SPARSE)
     trainer = DqnTrainer(
         NavigationEnv(config, rng=5),
@@ -124,17 +116,14 @@ def _train_gradient_bound(train_lanes: int, episodes: int, serial: bool = False)
         config=_gradient_bound_config(train_lanes),
         rng=9,
     )
-    if serial:
-        trainer.train_serial(episodes)
-    else:
-        trainer.train(episodes)
+    trainer.train(episodes)
     return trainer
 
 
 @pytest.mark.benchmark(group="dqn-training-gradient-bound")
 def test_bench_gradient_bound_serial(benchmark):
-    trainer = benchmark.pedantic(_train_gradient_bound, args=(1, 12, True), rounds=3, iterations=1)
-    print(f"\ngradient-bound serial: {trainer.history.gradient_steps} gradient steps")
+    trainer = benchmark.pedantic(_train_gradient_bound, args=(1, 12), rounds=3, iterations=1)
+    print(f"\ngradient-bound single lane: {trainer.history.gradient_steps} gradient steps")
 
 
 @pytest.mark.benchmark(group="dqn-training-gradient-bound")
@@ -144,12 +133,12 @@ def test_bench_gradient_bound_batched_b64(benchmark):
 
 
 def test_batched_training_speedup():
-    """Acceptance gate: >= 3x env-steps/sec at B >= 8 over the serial trainer."""
+    """Acceptance gate: >= 3x env-steps/sec at B >= 8 over one lane."""
 
     def best_of(fn, repeats=3):
         return max(fn() for _ in range(repeats))
 
-    serial = best_of(lambda: _steps_per_second(1, 48, serial=True))
+    serial = best_of(lambda: _steps_per_second(1, 48))
     batched = best_of(lambda: _steps_per_second(GATE_LANES, 256))
     speedup = batched / serial
     print(

@@ -9,7 +9,7 @@ reduced-scale analogue of the paper's Table I.
 
 Experience collection runs on ``TRAIN_LANES`` lockstep environment lanes
 (the batched training core of :mod:`repro.rl.collect`); set it to 1 to
-replay the serial trainer bitwise.
+replay the scalar one-transition-at-a-time training loop bitwise.
 
 Run with (takes roughly half a minute)::
 

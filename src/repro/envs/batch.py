@@ -13,17 +13,15 @@ query, and observation construction goes through the batched
 :meth:`~repro.envs.sensors.OccupancyImager.render_many` front-ends — one
 array op per step instead of B.
 
+This is the only navigation simulator: :class:`~repro.envs.navigation.NavigationEnv`
+is a one-lane view of it.
+
 **Determinism contract.**  Each lane owns its own RNG stream, field and world
-geometry, reset from a per-episode seed exactly the way
-:meth:`~repro.envs.navigation.NavigationEnv.reset` is; every arithmetic
-operation in the step is elementwise-identical to the serial environment's
-(shared helpers: :func:`~repro.envs.navigation.compile_world`,
-:func:`~repro.envs.navigation.sample_start_position`,
-:func:`~repro.envs.obstacles.planar_distances`).  Greedy rollouts under
-per-episode reset seeds therefore reproduce the serial
-:func:`~repro.envs.vector.run_episode` results *bitwise*, for any batch
-size — which is what makes the batched core a refactor of the rollout stack
-rather than a second, subtly different simulator.
+geometry, reset from a per-episode seed; every step is elementwise over
+lanes, so a lane's trajectory does not depend on which other lanes share the
+batch.  Greedy rollouts under per-episode reset seeds therefore reproduce the
+serial :func:`~repro.envs.vector.run_episode` results *bitwise*, for any
+batch size.
 
 Only lanes whose ``done`` flag is clear are advanced (the *done-mask*);
 finished lanes keep their terminal statistics until :meth:`reset_lanes`
@@ -42,6 +40,7 @@ import numpy as np
 from repro.errors import ConfigurationError, EnvironmentError_
 from repro.envs.navigation import NavigationConfig, NavigationEnv, compile_world
 from repro.envs.obstacles import ObstacleField, planar_distances
+from repro.envs.spaces import Box, Discrete
 from repro.envs.vector import EpisodeResult, as_batch_policy
 from repro.obs import get_metrics, span
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
@@ -78,12 +77,16 @@ class BatchStepResult:
 
 
 class BatchedNavigationEnv:
-    """B lockstep :class:`~repro.envs.navigation.NavigationEnv` lanes.
+    """B lockstep navigation episodes.
 
-    The constructor mirrors ``NavigationEnv(config, rng)`` exactly (including
-    the initial world draw from the construction RNG stream); alternatively
-    :meth:`from_env` wraps an existing serial environment, sharing its
-    already-generated field so batched rollouts replay the very same world.
+    The constructor draws the first world from the construction RNG stream
+    (see :func:`~repro.envs.navigation.compile_world`) and gives every lane
+    that world; lane RNG streams are spawned off the construction stream.
+    ``share_rng`` (``batch_size=1`` only) instead keeps lane 0 on the stream
+    it was built from, or on ``template``'s — which is how
+    ``NavigationEnv(config, rng)`` and this class agree draw for draw.
+    :meth:`from_env` batches lanes over an existing environment's current
+    world, so batched rollouts replay the very same world.
     """
 
     def __init__(
@@ -98,18 +101,39 @@ class BatchedNavigationEnv:
             raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
         if share_rng and batch_size != 1:
             raise ConfigurationError(
-                "share_rng shares the template's single RNG stream and is only "
+                "share_rng keeps lane 0 on one existing RNG stream and is only "
                 f"meaningful for batch_size=1, got batch_size={batch_size}"
             )
-        if share_rng and template is None:
-            raise ConfigurationError("share_rng requires a template environment")
         if template is None:
-            template = NavigationEnv(config, rng=rng)
-        self.config = template.config
+            generator = as_generator(rng)
+            start = np.array(config.start, dtype=np.float64)
+            goal = np.array(config.goal, dtype=np.float64)
+            if config.world_spec is None:
+                width, height = config.world_size
+                for name, point in (("start", start), ("goal", goal)):
+                    if not (0 < point[0] < width and 0 < point[1] < height):
+                        raise ConfigurationError(
+                            f"{name} position {tuple(point)} outside the world {config.world_size}"
+                        )
+            world_spec = config.world_spec
+            field, start, goal, world_size = compile_world(
+                config, world_spec, config.world_size, start, goal, generator
+            )
+        else:
+            lanes = template._lanes
+            config = lanes.config
+            generator = lanes._rngs[0]
+            field, world_spec, world_size = (
+                lanes._fields[0], lanes._world_specs[0], lanes._world_sizes[0]
+            )
+            start, goal = lanes._starts[0], lanes._goals[0]
+        self.config = config
         self.batch_size = int(batch_size)
-        self.action_space = template.action_space
-        self.observation_space = template.observation_space
-        config = self.config
+        self.action_space = Discrete(config.num_actions)
+        if config.observation == "image":
+            self.observation_space = Box(0.0, 1.0, config.imager.shape)
+        else:
+            self.observation_space = Box(-1.0, 1.0, (config.ray_sensor.num_rays + 4,))
 
         self._heading_options = np.linspace(
             -config.max_heading_change_rad,
@@ -133,22 +157,22 @@ class BatchedNavigationEnv:
             self._sensor_layers = ()
 
         B = self.batch_size
-        # Per-lane world state, seeded from the template's current world.
-        self._fields: List[ObstacleField] = [template.obstacle_field] * B
-        self._world_specs = [template.world_spec] * B
-        self._world_sizes: List[Tuple[float, float]] = [template.world_size] * B
-        self._starts = np.tile(np.asarray(template._start, dtype=np.float64), (B, 1))
-        self._goals = np.tile(np.asarray(template._goal, dtype=np.float64), (B, 1))
+        # Per-lane world state, every lane starting from the same world.
+        self._fields: List[ObstacleField] = [field] * B
+        self._world_specs = [world_spec] * B
+        self._world_sizes: List[Tuple[float, float]] = [world_size] * B
+        self._starts = np.tile(np.asarray(start, dtype=np.float64), (B, 1))
+        self._goals = np.tile(np.asarray(goal, dtype=np.float64), (B, 1))
         self._scales = np.full(
-            B, float(np.linalg.norm(np.asarray(template.world_size))), dtype=np.float64
+            B, float(np.linalg.norm(np.asarray(world_size))), dtype=np.float64
         )
-        # share_rng hands lane 0 the template's very Generator object: draws
-        # through this batch continue the serial environment's stream, which is
-        # what makes B=1 batched *training* consume RNG exactly like the serial
-        # trainer (see repro.rl.collect).  The default spawns independent
-        # per-lane streams.
+        # share_rng hands lane 0 the very Generator object it was built from:
+        # draws through this batch continue that stream, which is what makes a
+        # NavigationEnv a one-lane batch and B=1 batched *training* consume RNG
+        # exactly like the scalar loop (see repro.rl.collect).  The default
+        # spawns independent per-lane streams.
         self._rngs: List[np.random.Generator] = (
-            [template._rng] if share_rng else spawn_generators(template._rng, B)
+            [generator] if share_rng else spawn_generators(generator, B)
         )
         # Per-lane episode state (lanes start finished; reset_lanes activates them).
         self._positions = self._starts.copy()
@@ -165,11 +189,11 @@ class BatchedNavigationEnv:
         batch_size: int = DEFAULT_BATCH_SIZE,
         share_rng: bool = False,
     ) -> "BatchedNavigationEnv":
-        """Batch B lanes over an existing serial environment's current world.
+        """Batch B lanes over an existing environment's current world.
 
         ``share_rng`` (``batch_size=1`` only) makes the single lane consume
         ``env``'s own RNG stream instead of a spawned child — the hook that
-        lets B=1 batched training replay the serial trainer bitwise.
+        lets B=1 batched training replay the scalar loop bitwise.
         """
         return cls(env.config, batch_size=batch_size, template=env, share_rng=share_rng)
 
@@ -202,11 +226,9 @@ class BatchedNavigationEnv:
     ) -> np.ndarray:
         """Start a fresh episode on each of ``lanes``; returns their observations.
 
-        Lane ``i`` reset with seed ``s`` replays exactly what
-        ``NavigationEnv.reset(seed=s)`` would do on a serial environment
-        sharing this batch's construction world: reseed the lane RNG,
-        regenerate the lane's world when the config randomizes on reset,
-        sample the start position, face the goal.
+        Lane ``i`` reset with seed ``s``: reseed the lane RNG (``None`` keeps
+        its stream), regenerate the lane's world when the config randomizes
+        on reset, sample the start position, face the goal.
         """
         lanes = [int(lane) for lane in lanes]
         if seeds is None:
@@ -270,10 +292,10 @@ class BatchedNavigationEnv:
     def _sample_start_positions(self, lanes: np.ndarray) -> np.ndarray:
         """Start positions for ``lanes``: fixed starts plus optional noise.
 
-        Replays :func:`~repro.envs.navigation.sample_start_position` for every
-        lane — same per-lane draws from the same per-lane streams, same
-        rejection rule — but evaluates each round's candidate collision checks
-        as one batched query per shared field.
+        Each lane draws up to 32 uniform candidates around its start from its
+        own stream and keeps the first that is collision-free at time 0 (the
+        fixed start when none is); each round's candidate checks are one
+        batched query per shared field.
         """
         noise = self.config.start_position_noise_m
         positions = self._starts[lanes].copy()
@@ -308,7 +330,7 @@ class BatchedNavigationEnv:
             positions[pending[placed]] = candidates[placed]
             pending = pending[collided]
         # Lanes that exhausted every attempt keep the fixed start (already
-        # initialised above), matching the serial fallback.
+        # initialised above).
         return positions
 
     # ------------------------------------------------------------------ step
@@ -335,15 +357,7 @@ class BatchedNavigationEnv:
             metrics.counter("env.steps").inc(lanes.size)
             metrics.histogram("env.lane_occupancy").observe(lanes.size / self.batch_size)
         config = self.config
-        acts = actions[lanes].astype(np.int64)
-        if np.any((acts < 0) | (acts >= self.action_space.n)):
-            bad = acts[(acts < 0) | (acts >= self.action_space.n)][0]
-            raise EnvironmentError_(
-                f"invalid action {int(bad)!r} for a {self.action_space.n}-action space"
-            )
-        heading_index, speed_index = np.divmod(acts, config.num_speed_actions)
-        heading_changes = self._heading_options[heading_index]
-        speed_fractions = self._speed_options[speed_index]
+        heading_changes, speed_fractions = self.decode_actions(actions[lanes])
 
         self._steps[lanes] += 1
         positions = self._positions[lanes]
@@ -417,6 +431,17 @@ class BatchedNavigationEnv:
             stepped=active.copy(),
         )
 
+    def decode_actions(self, actions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(heading changes in rad, speed fractions) for integer ``actions``."""
+        acts = np.asarray(actions).astype(np.int64)
+        invalid = (acts < 0) | (acts >= self.action_space.n)
+        if np.any(invalid):
+            raise EnvironmentError_(
+                f"invalid action {int(acts[invalid][0])!r} for a {self.action_space.n}-action space"
+            )
+        heading_index, speed_index = np.divmod(acts, self.config.num_speed_actions)
+        return self._heading_options[heading_index], self._speed_options[speed_index]
+
     def _scatter(self, lanes: np.ndarray, values: np.ndarray) -> np.ndarray:
         out = np.zeros(self.batch_size, dtype=values.dtype)
         out[lanes] = values
@@ -452,49 +477,30 @@ class BatchedNavigationEnv:
         # lanes) needs no python group-build at all.
         first = self._fields[int(lanes[0])]
         if all(self._fields[int(lane)] is first for lane in lanes[1:]):
-            if getattr(first, "num_movers", 0) > 0:
-                return self._observe_group(first, lanes, times=self._times[lanes])
             return self._observe_group(first, lanes)
         observations = np.empty(
             (lanes.size,) + self.observation_space.shape, dtype=np.float64
         )
         for field, rows in self._group_by_field(lanes):
-            group_lanes = lanes[rows]
-            if getattr(field, "num_movers", 0) > 0:
-                observations[rows] = self._observe_group(
-                    field, group_lanes, times=self._times[group_lanes]
-                )
-            else:
-                observations[rows] = self._observe_group(field, group_lanes)
+            observations[rows] = self._observe_group(field, lanes[rows])
         return observations
 
-    def _observe_group(
-        self,
-        field: ObstacleField,
-        lanes: np.ndarray,
-        times: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def _observe_group(self, field: ObstacleField, lanes: np.ndarray) -> np.ndarray:
         """Sensor observations for ``lanes`` over one shared ``field``.
 
-        ``times`` (dynamic fields only) carries each lane's episode clock;
-        the timed sensor front-ends evaluate the movers at per-lane times in
-        the same batched query, bit-identical to sensing one ``at_time``
-        snapshot per lane.
+        Over a dynamic field each lane is sensed at its own episode clock:
+        the timed sensor queries evaluate the movers at per-lane times in the
+        same batched query, bit-identical to sensing one ``at_time`` snapshot
+        per lane.
         """
         config = self.config
         positions = self._positions[lanes]
         headings = self._headings[lanes]
         goals = self._goals[lanes]
+        times = self._times[lanes] if getattr(field, "num_movers", 0) > 0 else None
         if config.observation == "image":
-            if times is not None:
-                return config.imager.render_many_timed(
-                    field, positions, headings, goals, times
-                )
-            return config.imager.render_many(field, positions, headings, goals)
-        if times is not None:
-            rays = config.ray_sensor.sense_many_timed(field, positions, headings, times)
-        else:
-            rays = config.ray_sensor.sense_many(field, positions, headings)
+            return config.imager.render_many(field, positions, headings, goals, times_s=times)
+        rays = config.ray_sensor.sense_many(field, positions, headings, times_s=times)
         if self._sensor_layers:
             # Layers outer, lanes inner: per-lane generators are independent
             # streams, so batching across lanes keeps every lane's own draw

@@ -10,6 +10,9 @@ occupancy image (convolutional C3F2/C5F4 profile).
 Episodes terminate on goal arrival (success), collision (failure) or timeout
 (failure).  The environment tracks the flown path length so that corrupted
 policies manifest as the path detours the paper's flight-time model builds on.
+
+The simulation itself lives in :class:`~repro.envs.batch.BatchedNavigationEnv`;
+:class:`NavigationEnv` is its one-lane view.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from repro.envs.obstacles import (
     planar_distances,
 )
 from repro.envs.sensors import OccupancyImager, RaySensor
-from repro.envs.spaces import Box, Discrete
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike
 
 if TYPE_CHECKING:  # repro.worlds imports this module's package; resolve lazily
     from repro.worlds.perturbations import Perturbation
@@ -129,9 +131,7 @@ def compile_world(
     drawn.  The obstacle seed is taken from the caller's RNG *stream* (rather
     than handing the generator the stream itself) so the sequence of worlds is
     a pure function of the reset seed, independent of how much randomness
-    field generation happens to consume.  Shared by :class:`NavigationEnv`
-    and the lockstep :class:`~repro.envs.batch.BatchedNavigationEnv` so both
-    replay identical world sequences from identical seeds.
+    field generation happens to consume.
     """
     if world_spec is not None:
         from repro.worlds.registry import generate_world
@@ -150,267 +150,101 @@ def compile_world(
     return field, start, goal, world_size
 
 
-def sample_start_position(
-    snapshot: ObstacleField,
-    start: np.ndarray,
-    noise_m: float,
-    vehicle_radius: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One episode's start position: the fixed start plus optional uniform noise.
-
-    Shared by the serial and batched environments so their per-lane RNG
-    consumption (and therefore every downstream draw) stays identical.
-    """
-    if noise_m <= 0.0:
-        return start.copy()
-    for _ in range(32):
-        candidate = start + rng.uniform(-noise_m, noise_m, size=2)
-        if not snapshot.collides(candidate, vehicle_radius):
-            return candidate
-    return start.copy()
-
-
 class NavigationEnv:
-    """Deterministic 2-D navigation environment with a Gym-like API."""
+    """Deterministic 2-D navigation environment with a Gym-like API.
+
+    A one-lane view of :class:`~repro.envs.batch.BatchedNavigationEnv`, the
+    only simulator: :meth:`reset`, :meth:`step` and every property read or
+    advance lane 0, whose RNG stream is the one the environment was built
+    from.  A batch of one therefore *is* the single environment, and batched
+    rollouts and training replay it bitwise.
+    """
 
     def __init__(self, config: NavigationConfig = NavigationConfig(), rng: SeedLike = 0) -> None:
+        from repro.envs.batch import BatchedNavigationEnv  # batch imports this module
+
         self.config = config
-        self._rng = as_generator(rng)
-        self.action_space = Discrete(config.num_actions)
-        self._world_spec = config.world_spec
-        self._world_size = config.world_size
-        self._start = np.array(config.start, dtype=np.float64)
-        self._goal = np.array(config.goal, dtype=np.float64)
-        if config.world_spec is None:
-            width, height = config.world_size
-            for name, point in (("start", self._start), ("goal", self._goal)):
-                if not (0 < point[0] < width and 0 < point[1] < height):
-                    raise ConfigurationError(f"{name} position {tuple(point)} outside the world {config.world_size}")
-        self._field = self._generate_field()
-        self._heading_options = np.linspace(
-            -config.max_heading_change_rad, config.max_heading_change_rad, config.num_heading_actions
-        )
-        self._speed_options = np.linspace(0.2, 1.0, config.num_speed_actions)
-        if config.num_speed_actions == 1:
-            self._speed_options = np.array([1.0])
-        if config.perturbations:
-            from repro.worlds.perturbations import SensorDegradation, WindGust
-
-            self._wind_layers = tuple(
-                p for p in config.perturbations if isinstance(p, WindGust)
-            )
-            self._sensor_layers = tuple(
-                p for p in config.perturbations if isinstance(p, SensorDegradation)
-            )
-        else:
-            self._wind_layers = ()
-            self._sensor_layers = ()
-        self.observation_space = self._build_observation_space()
-        # Episode state
-        self._position = self._start.copy()
-        self._heading = 0.0
-        self._steps = 0
-        self._time_s = 0.0
-        self._path_length = 0.0
-        self._done = True
-
-    # ------------------------------------------------------------------ setup helpers
-    def _generate_field(self) -> ObstacleField:
-        field, self._start, self._goal, self._world_size = compile_world(
-            self.config,
-            self._world_spec,
-            self._world_size,
-            self._start,
-            self._goal,
-            self._rng,
-        )
-        return field
-
-    @property
-    def _field_is_dynamic(self) -> bool:
-        """True when the active field carries moving obstacles (duck-typed to
-        avoid importing repro.worlds at module load)."""
-        return getattr(self._field, "num_movers", 0) > 0
-
-    def _field_now(self) -> ObstacleField:
-        """The active field frozen at the episode's current time."""
-        if self._field_is_dynamic:
-            return self._field.at_time(self._time_s)
-        return self._field
-
-    def _build_observation_space(self) -> Box:
-        if self.config.observation == "image":
-            return Box(0.0, 1.0, self.config.imager.shape)
-        num_features = self.config.ray_sensor.num_rays + 4
-        return Box(-1.0, 1.0, (num_features,))
+        self._lanes = BatchedNavigationEnv(config, batch_size=1, rng=rng, share_rng=True)
+        self.action_space = self._lanes.action_space
+        self.observation_space = self._lanes.observation_space
 
     @property
     def obstacle_field(self) -> ObstacleField:
-        return self._field
+        return self._lanes._fields[0]
 
     @property
     def world_size(self) -> Tuple[float, float]:
         """The active world's bounds (the generated world's when a spec is set)."""
-        return self._world_size
+        return self._lanes._world_sizes[0]
 
     @property
     def world_spec(self) -> Optional[WorldSpec]:
         """The spec of the world currently loaded (reseeded on randomized resets)."""
-        return self._world_spec
+        return self._lanes._world_specs[0]
 
     @property
     def time_s(self) -> float:
         """Episode time in seconds (drives dynamic worlds' moving obstacles)."""
-        return self._time_s
+        return float(self._lanes._times[0])
 
     @property
     def goal(self) -> np.ndarray:
-        return self._goal.copy()
+        return self._lanes._goals[0].copy()
 
     @property
     def position(self) -> np.ndarray:
-        return self._position.copy()
+        return self._lanes._positions[0].copy()
 
     @property
     def path_length_m(self) -> float:
-        return self._path_length
+        return float(self._lanes._path_lengths[0])
 
     @property
     def straight_line_distance_m(self) -> float:
-        return float(planar_distances(self._goal - self._start))
+        return float(planar_distances(self._lanes._goals[0] - self._lanes._starts[0]))
 
     # ------------------------------------------------------------------ action decoding
-    def decode_action(self, action: int) -> Tuple[float, float]:
-        """Return (heading change in rad, speed fraction) for a discrete action index."""
+    def _checked_action(self, action: int) -> np.ndarray:
+        """``action`` as a one-lane action vector; non-integers and indices
+        outside the action space raise."""
         if not self.action_space.contains(action):
             raise EnvironmentError_(f"invalid action {action!r} for a {self.action_space.n}-action space")
-        heading_index, speed_index = divmod(int(action), self.config.num_speed_actions)
-        return float(self._heading_options[heading_index]), float(self._speed_options[speed_index])
+        return np.array([int(action)])
+
+    def decode_action(self, action: int) -> Tuple[float, float]:
+        """Return (heading change in rad, speed fraction) for a discrete action index."""
+        heading_change, speed_fraction = self._lanes.decode_actions(self._checked_action(action))
+        return float(heading_change[0]), float(speed_fraction[0])
 
     # ------------------------------------------------------------------ gym API
     def reset(self, seed: Optional[int] = None) -> np.ndarray:
         """Start a new episode and return the initial observation."""
-        if seed is not None:
-            self._rng = as_generator(seed)
-        if self.config.randomize_obstacles_on_reset:
-            if self.config.world_spec is not None:
-                # A fresh world from the same family/params: the per-reset
-                # world seed comes from the env RNG stream, so two envs with
-                # the same seed replay identical world sequences.
-                self._world_spec = self.config.world_spec.with_seed(
-                    int(self._rng.integers(0, 2**31 - 1))
-                )
-            self._field = self._generate_field()
-        self._steps = 0
-        self._time_s = 0.0
-        self._position = self._sample_start()
-        goal_vector = self._goal - self._position
-        self._heading = float(np.arctan2(goal_vector[1], goal_vector[0]))
-        self._path_length = 0.0
-        self._done = False
-        return self._observe()
-
-    def _sample_start(self) -> np.ndarray:
-        """The episode's start position (fixed start plus optional uniform noise)."""
-        return sample_start_position(
-            self._field_now(),
-            self._start,
-            self.config.start_position_noise_m,
-            self.config.vehicle_radius_m,
-            self._rng,
-        )
+        return self._lanes.reset_lanes([0], [seed])[0]
 
     def step(self, action: int) -> StepResult:
         """Apply one discrete action and advance the episode."""
-        if self._done:
+        if self._lanes._done[0]:
             raise EnvironmentError_("step() called on a finished episode; call reset() first")
-        heading_change, speed_fraction = self.decode_action(action)
-        self._steps += 1
-        previous_distance = float(planar_distances(self._goal - self._position))
-        self._heading = self._wrap_angle(self._heading + heading_change)
-        displacement = speed_fraction * self.config.max_speed_m_s * self.config.step_duration_s
-        new_position = self._position + displacement * np.array(
-            [math.cos(self._heading), math.sin(self._heading)]
-        )
-        if self._wind_layers:
-            for wind in self._wind_layers:
-                new_position = new_position + wind.displacement(
-                    self._rng, self.config.step_duration_s
-                )
-            displacement = float(planar_distances(new_position - self._position))
-
-        step_end_time = self._time_s + self.config.step_duration_s
-        if self._field_is_dynamic:
-            collided = self._field.segment_collides_timed(
-                self._position,
-                new_position,
-                self._time_s,
-                step_end_time,
-                self.config.vehicle_radius_m,
-            )
-        else:
-            collided = self._field.segment_collides(
-                self._position, new_position, self.config.vehicle_radius_m
-            )
-        self._time_s = step_end_time
-        reward = self.config.step_penalty
-        terminated = False
-        success = False
-        if collided:
-            reward += self.config.collision_penalty
-            terminated = True
-        else:
-            self._path_length += displacement
-            self._position = new_position
-            new_distance = float(planar_distances(self._goal - self._position))
-            reward += self.config.progress_scale * (previous_distance - new_distance)
-            if new_distance <= self.config.goal_radius_m:
-                reward += self.config.goal_reward
-                terminated = True
-                success = True
-        truncated = not terminated and self._steps >= self.config.max_steps
-        self._done = terminated or truncated
+        result = self._lanes.step(self._checked_action(action))
         info = {
-            "success": float(success),
-            "collision": float(collided),
-            "steps": float(self._steps),
-            "path_length_m": self._path_length,
-            "distance_to_goal_m": float(planar_distances(self._goal - self._position)),
+            "success": float(result.success[0]),
+            "collision": float(result.collision[0]),
+            "steps": float(result.steps[0]),
+            "path_length_m": float(result.path_lengths_m[0]),
+            "distance_to_goal_m": float(result.distances_to_goal_m[0]),
         }
-        return StepResult(self._observe(), float(reward), terminated, truncated, info)
-
-    # ------------------------------------------------------------------ observations
-    def _observe(self) -> np.ndarray:
-        field_now = self._field_now()
-        if self.config.observation == "image":
-            return self.config.imager.render(field_now, self._position, self._heading, self._goal)
-        rays = self.config.ray_sensor.sense(field_now, self._position, self._heading)
-        for degradation in self._sensor_layers:
-            rays = degradation.apply(rays, self._rng)
-        goal_vector = self._goal - self._position
-        goal_distance = float(planar_distances(goal_vector))
-        goal_bearing = float(np.arctan2(goal_vector[1], goal_vector[0]) - self._heading)
-        scale = float(np.linalg.norm(np.asarray(self._world_size)))
-        features = np.array(
-            [
-                min(1.0, goal_distance / scale),
-                math.sin(goal_bearing),
-                math.cos(goal_bearing),
-                self._heading / math.pi,
-            ]
+        return StepResult(
+            result.observations[0],
+            float(result.rewards[0]),
+            bool(result.terminated[0]),
+            bool(result.truncated[0]),
+            info,
         )
-        return np.concatenate([rays, features])
-
-    @staticmethod
-    def _wrap_angle(angle: float) -> float:
-        return float((angle + math.pi) % (2.0 * math.pi) - math.pi)
 
     def __repr__(self) -> str:
-        world = (
-            self._world_spec.name if self._world_spec is not None else self.config.density.value
-        )
+        spec = self.world_spec
+        world = spec.name if spec is not None else self.config.density.value
         return (
-            f"NavigationEnv(world={world}, size={self._world_size}, "
-            f"obstacles={self._field.num_obstacles}, actions={self.action_space.n})"
+            f"NavigationEnv(world={world}, size={self.world_size}, "
+            f"obstacles={self.obstacle_field.num_obstacles}, actions={self.action_space.n})"
         )

@@ -13,15 +13,12 @@ action space").  Two observation front-ends are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.envs.obstacles import ObstacleField, planar_distances
-
-if TYPE_CHECKING:  # envs must not import worlds at runtime (worlds imports envs)
-    from repro.worlds.dynamic import DynamicObstacleField
 
 
 @dataclass(frozen=True)
@@ -61,37 +58,32 @@ class RaySensor:
         return distances / self.max_range_m
 
     def sense_many(
-        self, field: ObstacleField, positions: np.ndarray, headings: np.ndarray
+        self,
+        field: ObstacleField,
+        positions: np.ndarray,
+        headings: np.ndarray,
+        times_s: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Depth readings for many vehicles in one query.
 
         ``positions`` is ``(N, 2)`` and ``headings`` ``(N,)``; row ``i`` of
         the ``(N, num_rays)`` result is bit-identical to
-        ``sense(field, positions[i], headings[i])``.
+        ``sense(field, positions[i], headings[i])``.  With ``times_s`` (a
+        :class:`~repro.worlds.dynamic.DynamicObstacleField` only) each vehicle
+        is sensed at its own clock: row ``i`` is bit-identical to
+        ``sense(field.at_time(times_s[i]), positions[i], headings[i])``, from
+        one time-parameterised ray query instead of a snapshot per time.
         """
         headings = np.asarray(headings, dtype=np.float64).reshape(-1)
         angles = headings[:, None] + self.ray_angles[None, :]
-        distances = field.ray_distances_many(positions, angles, self.max_range_m, self.step_m)
-        return distances / self.max_range_m
-
-    def sense_many_timed(
-        self,
-        field: "DynamicObstacleField",
-        positions: np.ndarray,
-        headings: np.ndarray,
-        times_s: np.ndarray,
-    ) -> np.ndarray:
-        """Depth readings for many vehicles, each at its own clock.
-
-        Row ``i`` is bit-identical to ``sense(field.at_time(times_s[i]),
-        positions[i], headings[i])`` — the batched time-parameterised ray
-        query replaces one snapshot field per distinct lane time.
-        """
-        headings = np.asarray(headings, dtype=np.float64).reshape(-1)
-        angles = headings[:, None] + self.ray_angles[None, :]
-        distances = field.ray_distances_many_timed(
-            positions, angles, times_s, self.max_range_m, self.step_m
-        )
+        if times_s is None:
+            distances = field.ray_distances_many(
+                positions, angles, self.max_range_m, self.step_m
+            )
+        else:
+            distances = field.ray_distances_many_timed(
+                positions, angles, times_s, self.max_range_m, self.step_m
+            )
         return distances / self.max_range_m
 
 
@@ -150,12 +142,17 @@ class OccupancyImager:
         positions: np.ndarray,
         headings: np.ndarray,
         goals: np.ndarray,
+        times_s: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Egocentric images for many vehicles via one occupancy query.
 
         ``positions``/``goals`` are ``(N, 2)`` and ``headings`` ``(N,)``;
         slice ``i`` of the ``(N, C, H, W)`` result is bit-identical to
-        ``render(field, positions[i], headings[i], goals[i])``.
+        ``render(field, positions[i], headings[i], goals[i])``.  With
+        ``times_s`` (a :class:`~repro.worlds.dynamic.DynamicObstacleField`
+        only) every grid sample of vehicle ``i`` is tested against the movers
+        placed at ``times_s[i]``: slice ``i`` is bit-identical to
+        ``render(field.at_time(times_s[i]), positions[i], headings[i], goals[i])``.
         """
         positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
         goals = np.asarray(goals, dtype=np.float64).reshape(-1, 2)
@@ -178,61 +175,12 @@ class OccupancyImager:
             + lat_grid[None, :, :] * cos_h[:, None, None]
         )
         points = np.stack([world_x.ravel(), world_y.ravel()], axis=1)
-        images[:, 0] = (
-            field.collides_many(points).reshape(count, size, size).astype(np.float64)
-        )
-        goal_vectors = goals - positions
-        goal_distances = planar_distances(goal_vectors)
-        goal_bearings = np.arctan2(goal_vectors[:, 1], goal_vectors[:, 0]) - headings
-        images[:, 1] = (0.5 * (1.0 + np.cos(goal_bearings)))[:, None, None]
-        images[:, 2] = np.minimum(1.0, goal_distances / self.goal_distance_scale_m)[
-            :, None, None
-        ]
-        return images
-
-    def render_many_timed(
-        self,
-        field: "DynamicObstacleField",
-        positions: np.ndarray,
-        headings: np.ndarray,
-        goals: np.ndarray,
-        times_s: np.ndarray,
-    ) -> np.ndarray:
-        """Egocentric images for many vehicles, each at its own clock.
-
-        Slice ``i`` is bit-identical to ``render(field.at_time(times_s[i]),
-        positions[i], headings[i], goals[i])``: every grid sample of vehicle
-        ``i`` is tested against the movers placed at ``times_s[i]`` through
-        one timed occupancy query for the whole batch.
-        """
-        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-        goals = np.asarray(goals, dtype=np.float64).reshape(-1, 2)
-        headings = np.asarray(headings, dtype=np.float64).reshape(-1)
-        times = np.asarray(times_s, dtype=np.float64).reshape(-1)
-        count = positions.shape[0]
-        size = self.image_size
-        images = np.zeros((count,) + self.shape, dtype=np.float64)
-        cos_h, sin_h = np.cos(headings), np.sin(headings)
-        forward = (np.arange(size) + 0.5) / size * self.window_m
-        lateral = ((np.arange(size) + 0.5) / size - 0.5) * self.window_m
-        fwd_grid, lat_grid = np.meshgrid(forward, lateral, indexing="ij")
-        world_x = (
-            positions[:, 0, None, None]
-            + fwd_grid[None, :, :] * cos_h[:, None, None]
-            - lat_grid[None, :, :] * sin_h[:, None, None]
-        )
-        world_y = (
-            positions[:, 1, None, None]
-            + fwd_grid[None, :, :] * sin_h[:, None, None]
-            + lat_grid[None, :, :] * cos_h[:, None, None]
-        )
-        points = np.stack([world_x.ravel(), world_y.ravel()], axis=1)
-        point_times = np.repeat(times, size * size)
-        images[:, 0] = (
-            field.collides_many_timed(points, point_times)
-            .reshape(count, size, size)
-            .astype(np.float64)
-        )
+        if times_s is None:
+            occupied = field.collides_many(points)
+        else:
+            times = np.asarray(times_s, dtype=np.float64).reshape(-1)
+            occupied = field.collides_many_timed(points, np.repeat(times, size * size))
+        images[:, 0] = occupied.reshape(count, size, size).astype(np.float64)
         goal_vectors = goals - positions
         goal_distances = planar_distances(goal_vectors)
         goal_bearings = np.arctan2(goal_vectors[:, 1], goal_vectors[:, 0]) - headings

@@ -1,11 +1,10 @@
 """Lockstep B-lane experience collection for the DQN/BERRY trainers.
 
-The training loop used to step one :class:`~repro.envs.navigation.NavigationEnv`
-and one observation at a time.  :class:`LockstepCollector` replaces that inner
-loop with the batched rollout core: B environment lanes advance per step, the
-epsilon-greedy head runs one batched Q forward plus per-lane exploration
-streams, and every lockstep step yields the whole batch of transitions for a
-single vectorised :meth:`~repro.rl.replay_buffer.ReplayBuffer.add_batch` push.
+:class:`LockstepCollector` is the training loop's inner loop on the batched
+rollout core: B environment lanes advance per step, the epsilon-greedy head
+runs one batched Q forward plus per-lane exploration streams, and every
+lockstep step yields the whole batch of transitions for a single vectorised
+:meth:`~repro.rl.replay_buffer.ReplayBuffer.add_batch` push.
 A lane whose episode ends is refilled with the next pending episode (via
 :class:`~repro.envs.batch.LaneEpisodeFeed`), so collection keeps full width
 until the episode budget drains.
@@ -14,13 +13,13 @@ until the episode budget drains.
 count*: the k simultaneous transitions of one lockstep step take schedule
 indices ``t, t+1, ..., t+k-1`` and each lane draws from its own stream in lane
 order.  At B = 1, with the lane's environment and exploration streams shared
-with the serial trainer's (``share_rng`` /
+with the trainer's environment and generator (``share_rng`` /
 ``DqnTrainer``'s own generator), the collector consumes exactly the RNG draws
-of the pre-refactor scalar loop — which is what makes B=1 batched training
-bitwise-equivalent to :meth:`~repro.rl.dqn.DqnTrainer.train_serial` (pinned in
-``tests/test_rl_batched_training.py``).  At B > 1 each lane explores from an
-independent spawned stream; results are deterministic in (seed, B) but
-intentionally differ from the serial interleaving.
+of a scalar one-transition-at-a-time loop — which is what makes B=1 batched
+training bitwise-equivalent to that loop (pinned against the test-only
+reference in ``tests/reference_training.py``).  At B > 1 each lane explores
+from an independent spawned stream; results are deterministic in (seed, B)
+but intentionally differ from the serial interleaving.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class StepBatch:
     """The transitions of one lockstep collection step (k active lanes).
 
     Arrays are row-aligned over the lanes that actually advanced, in ascending
-    lane order; ``dones`` mirrors the serial trainer's replay convention
+    lane order; ``dones`` mirrors the scalar loop's replay convention
     (``terminated`` only — a timeout is not a terminal state for bootstrapping).
     """
 
@@ -149,7 +148,7 @@ class LockstepCollector:
 
         rewards = result.rewards[active].copy()
         next_observations = result.observations[active].copy()
-        # Replay convention of the serial trainer: bootstrapping is cut only
+        # Replay convention of the scalar loop: bootstrapping is cut only
         # by true termination (goal/collision), never by the step-budget cap.
         dones = result.terminated[active].astype(np.float64)
         self._reward_totals[active] += rewards

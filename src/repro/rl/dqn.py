@@ -14,10 +14,10 @@ Experience collection is *batched*: :meth:`DqnTrainer.train` drives
 :class:`~repro.rl.collect.LockstepCollector`, pushes each lockstep step's
 transitions into the replay buffer with one vectorised ``add_batch``, and
 replays the gradient/target-sync cadence on the global transition counter.
-``train_lanes=1`` (the default) reproduces the pre-refactor scalar loop
-bitwise — same RNG stream consumption, same replay contents, same final
-weights; the scalar loop itself survives as :meth:`DqnTrainer.train_serial`,
-the reference implementation the equivalence tests pin against.
+``train_lanes=1`` (the default) reproduces the scalar one-transition-at-a-time
+loop bitwise — same RNG stream consumption, same replay contents, same final
+weights; that loop survives only as a test reference
+(``tests/reference_training.py``), pinned together with golden digests.
 """
 
 from __future__ import annotations
@@ -60,8 +60,9 @@ class DqnConfig:
     grad_clip: Optional[float] = 1.0
     epsilon_schedule: Schedule = field(default_factory=LinearDecay)
     #: Lockstep environment lanes used for experience collection.  1 replays
-    #: the serial trainer bitwise; B > 1 collects B transitions per lockstep
-    #: step (per-lane exploration streams, one batched Q forward per step).
+    #: the scalar training loop bitwise; B > 1 collects B transitions per
+    #: lockstep step (per-lane exploration streams, one batched Q forward per
+    #: step).
     train_lanes: int = 1
     #: Compute backend for the Q-network, loss, optimizer and fault-injection
     #: hot paths ("numpy" reproduces the pre-backend trainer bitwise; "torch"
@@ -247,11 +248,10 @@ class DqnTrainer:
         lanes (capped at ``num_episodes``): one batched Q forward per lockstep
         step, per-lane exploration streams, one ``add_batch`` replay push, and
         the gradient/target-sync cadence interleaved on the global transition
-        counter exactly as the serial loop would.  ``train_lanes=1`` shares
-        the serial environment's and trainer's RNG streams and reproduces
-        :meth:`train_serial` bitwise.  ``callback(episode, history)`` fires
-        once per completed episode, in completion order (== episode order at
-        B = 1).
+        counter exactly as the scalar loop would.  ``train_lanes=1`` shares
+        the environment's and trainer's RNG streams and reproduces the scalar
+        loop bitwise.  ``callback(episode, history)`` fires once per completed
+        episode, in completion order (== episode order at B = 1).
         """
         from repro.envs.batch import BatchedNavigationEnv
         from repro.rl.collect import LockstepCollector
@@ -323,64 +323,6 @@ class DqnTrainer:
                     record.total_reward,
                     self.history.success_rate(window=50),
                 )
-
-    def train_serial(
-        self,
-        num_episodes: int,
-        max_steps_per_episode: Optional[int] = None,
-        callback: Optional[Callable[[int, TrainingHistory], None]] = None,
-    ) -> TrainingHistory:
-        """The pre-refactor scalar training loop, kept as the reference.
-
-        One environment, one observation, one transition at a time.  This is
-        the loop :meth:`train` at ``train_lanes=1`` must reproduce bitwise
-        (same RNG stream consumption, same replay contents, same final
-        weights); ``tests/test_rl_batched_training.py`` pins the equivalence.
-        """
-        if num_episodes <= 0:
-            raise TrainingError(f"num_episodes must be positive, got {num_episodes}")
-        max_steps = max_steps_per_episode or self.env.config.max_steps
-        for episode in range(num_episodes):
-            observation = self.env.reset()
-            episode_reward = 0.0
-            episode_success = False
-            steps = 0
-            for _ in range(max_steps):
-                epsilon = self.config.epsilon_schedule(self.history.total_steps)
-                action = self.act(observation, epsilon)
-                result = self.env.step(action)
-                done = result.terminated
-                self.replay.add(observation, action, result.reward, result.observation, done)
-                observation = result.observation
-                episode_reward += result.reward
-                self.history.total_steps += 1
-                steps += 1
-
-                if (
-                    len(self.replay) >= max(self.config.learning_starts, self.config.batch_size)
-                    and self.history.total_steps % self.config.train_frequency == 0
-                ):
-                    batch = self.replay.sample(self.config.batch_size, self._rng)
-                    loss_value = self.learn_on_batch(batch)
-                    self.history.losses.append(loss_value)
-                if self.history.total_steps % self.config.target_update_interval == 0:
-                    self.sync_target_network()
-                if result.terminated or result.truncated:
-                    episode_success = bool(result.info["success"])
-                    break
-            self.history.episode_rewards.append(episode_reward)
-            self.history.episode_successes.append(episode_success)
-            self.history.episode_lengths.append(steps)
-            if callback is not None:
-                callback(episode, self.history)
-            if (episode + 1) % 50 == 0:
-                logger.info(
-                    "episode %d: reward=%.2f success_rate(last 50)=%.2f",
-                    episode + 1,
-                    episode_reward,
-                    self.history.success_rate(window=50),
-                )
-        return self.history
 
     # ------------------------------------------------------------------ policy export
     def policy(self) -> Callable[[np.ndarray], int]:

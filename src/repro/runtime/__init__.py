@@ -3,7 +3,7 @@
 Declarative :class:`JobSpec`/:class:`SweepSpec` units of work flow through a
 :class:`SweepRunner` that resolves each job from the journal (resume), the
 content-addressed :class:`ResultCache` (re-runs are cache hits) or an
-execution backend (:class:`SerialExecutor` / :class:`MultiprocessExecutor`).
+execution backend (:class:`SerialExecutor` / :class:`WarmPoolExecutor`).
 ``python -m repro.runtime`` runs any sweep registered in
 :mod:`repro.runtime.registry`.
 
@@ -16,7 +16,6 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.engine import SweepExecutionError, SweepReport, SweepRunner, run_sweep
 from repro.runtime.executor import (
     Executor,
-    MultiprocessExecutor,
     SerialExecutor,
     make_executor,
     plan_chunks,
@@ -43,7 +42,6 @@ __all__ = [
     "FusionRule",
     "JobSpec",
     "Journal",
-    "MultiprocessExecutor",
     "ResultCache",
     "SerialExecutor",
     "SweepExecutionError",

@@ -8,13 +8,16 @@ cache without any explicit flush; re-running a sweep on unchanged code is a
 pure cache hit.
 
 Writes go through a temp file + ``os.replace`` so a crash mid-write can never
-leave a truncated entry that later reads as a corrupt hit.
+leave a truncated entry that later reads as a corrupt hit.  Each writer gets
+its own temp name, so concurrent puts of one entry never rename each other's
+file away.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import uuid
 from pathlib import Path
 from typing import Any, Optional, Set
 
@@ -89,9 +92,13 @@ class ResultCache:
             "version": self.version,
             "result": result,
         }
-        temp = path.with_name(path.name + ".tmp")
-        save_json(temp, record)
-        os.replace(temp, path)
+        temp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+        try:
+            save_json(temp, record)
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
         return path
 
     # ------------------------------------------------------------------ maintenance

@@ -1,4 +1,4 @@
-"""Worker-pool execution backends.
+"""Job execution backends.
 
 Both backends implement one interface — :meth:`Executor.submit` takes
 ``(index, JobSpec)`` pairs and yields ``(index, status, payload, obs)``
@@ -9,9 +9,9 @@ above them is oblivious to *where* jobs run:
   direct experiment-generator calls and the only backend usable when the
   :class:`~repro.runtime.jobs.ExecutionContext` carries non-picklable
   overrides.
-* :class:`MultiprocessExecutor` fans jobs out over a ``multiprocessing`` pool
-  with chunked dispatch.  The context is shipped once per worker via the pool
-  initializer rather than once per job.
+* :class:`~repro.runtime.pool.WarmPoolExecutor` fans jobs out over a
+  persistent worker pool with chunked dispatch (the :func:`plan_chunks`
+  guided schedule); :func:`make_executor` returns it for ``workers > 1``.
 
 Failures never tear down the pool mid-sweep: a runner exception is caught in
 the worker and reported as an ``"error"`` status so the engine can journal
@@ -28,7 +28,6 @@ executed the job.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import traceback
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -76,21 +75,6 @@ class SerialExecutor(Executor):
             yield _execute(index, spec, context)
 
 
-# Worker-side context, installed once per worker by the pool initializer.
-_WORKER_CONTEXT: Optional[ExecutionContext] = None
-
-
-def _init_worker(context: ExecutionContext) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-
-
-def _run_in_worker(item: IndexedJob) -> ExecutionEvent:
-    index, spec = item
-    context = _WORKER_CONTEXT if _WORKER_CONTEXT is not None else ExecutionContext()
-    return _execute(index, spec, context)
-
-
 def default_worker_count() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
@@ -133,66 +117,6 @@ def split_chunks(
         chunks.append(list(items[cursor : cursor + size]))
         cursor += size
     return chunks
-
-
-def _run_chunk_in_worker(chunk: Sequence[IndexedJob]) -> List[ExecutionEvent]:
-    context = _WORKER_CONTEXT if _WORKER_CONTEXT is not None else ExecutionContext()
-    return [_execute(index, spec, context) for index, spec in chunk]
-
-
-class MultiprocessExecutor(Executor):
-    """Fan jobs out over a throwaway ``multiprocessing.Pool``.
-
-    Chunks follow the :func:`plan_chunks` guided schedule and are pulled
-    dynamically (``chunksize=1`` over pre-sized chunk lists), so a slow job
-    late in the sweep no longer strands its fixed-chunk neighbours behind it.
-    Prefer :class:`repro.runtime.pool.WarmPoolExecutor` (what
-    :func:`make_executor` returns) unless the workload specifically wants
-    cold workers per run.
-    """
-
-    name = "multiprocess"
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = workers if workers is not None else default_worker_count()
-        self.chunk_size = chunk_size
-        self.start_method = start_method
-
-    def submit(
-        self, items: Sequence[IndexedJob], context: ExecutionContext
-    ) -> Iterator[ExecutionEvent]:
-        if not context.hermetic:
-            raise ConfigurationError(
-                "context overrides hold live objects that cannot cross process "
-                "boundaries; run non-hermetic sweeps on the SerialExecutor"
-            )
-        items = list(items)
-        if not items:
-            return
-        if self.workers == 1 or len(items) == 1:
-            # A one-worker pool would only add IPC overhead.
-            yield from SerialExecutor().submit(items, context)
-            return
-        chunks = split_chunks(items, self.workers, self.chunk_size)
-        mp_context = multiprocessing.get_context(self.start_method)
-        pool = mp_context.Pool(
-            processes=min(self.workers, len(chunks)),
-            initializer=_init_worker,
-            initargs=(context,),
-        )
-        try:
-            for events in pool.imap_unordered(_run_chunk_in_worker, chunks, chunksize=1):
-                yield from events
-        finally:
-            pool.terminate()
-            pool.join()
 
 
 def make_executor(

@@ -1,9 +1,8 @@
 """``repro.runtime.pool`` — a persistent, warm worker pool.
 
-:class:`MultiprocessExecutor` builds a fresh ``multiprocessing.Pool`` per
-``submit``: every run pays process spawn, module import, world recompilation
-and policy re-quantization from a cold start.  The warm pool spawns its
-workers **once per parent process** and keeps them alive across
+A throwaway per-run pool would pay process spawn, module import, world
+recompilation and policy re-quantization from a cold start on every run.
+The warm pool spawns its workers **once per parent process** and keeps them alive across
 :meth:`SweepRunner.run` calls, so the per-process warm caches
 (:mod:`repro.utils.warmcache`: compiled worlds, world metrics, quantized
 policy states, loaded array backends) stay hot from one sweep to the next —
@@ -228,10 +227,9 @@ def shutdown_pool() -> None:
 class WarmPoolExecutor(Executor):
     """Executor facade over the process-wide :class:`PersistentWorkerPool`.
 
-    Interface-compatible with :class:`MultiprocessExecutor`; the differences
-    are persistence (workers and their warm caches survive across ``submit``
-    calls and across :class:`SweepRunner` instances) and dynamic pull
-    scheduling with steal accounting.  ``last_stats`` holds the most recent
+    Workers and their warm caches persist across ``submit`` calls and across
+    :class:`SweepRunner` instances, and chunks are pulled dynamically with
+    steal accounting.  ``last_stats`` holds the most recent
     submission's pool/steal/warm numbers for callers that want them without
     the obs registry (benchmark gates, tests).
     """

@@ -46,6 +46,8 @@ from repro.quant.fixed_point import QuantizationConfig, quantize
 from repro.rl.dqn import DqnConfig, DqnTrainer
 from repro.rl.schedules import LinearDecay
 
+from reference_training import train_serial
+
 requires_torch = pytest.mark.skipif(
     not backend_available("torch"), reason="torch is not installed"
 )
@@ -414,7 +416,7 @@ class TestTrainingEquivalence:
 
     def test_dqn_numpy_backend_matches_serial_reference(self):
         serial = self._trainer("dqn", lanes=1)
-        serial.train_serial(6)
+        train_serial(serial, 6)
         batched = self._trainer("dqn", lanes=1)
         batched.train(6)
         assert batched.backend is NUMPY_BACKEND
@@ -422,7 +424,7 @@ class TestTrainingEquivalence:
 
     def test_berry_numpy_backend_matches_serial_reference(self):
         serial = self._trainer("berry", lanes=1)
-        serial.train_serial(6)
+        train_serial(serial, 6)
         batched = self._trainer("berry", lanes=1)
         batched.train(6)
         assert batched.injector.backend is NUMPY_BACKEND

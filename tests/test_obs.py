@@ -40,7 +40,7 @@ from repro.obs.heartbeat import _format_eta
 from repro.obs.metrics import _NOOP_INSTRUMENT, Histogram, bin_index, bin_upper_bound
 from repro.obs.tracing import NOOP_SPAN
 from repro.runtime.engine import SweepRunner
-from repro.runtime.executor import MultiprocessExecutor
+from repro.runtime.pool import WarmPoolExecutor, shutdown_pool
 from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.runtime.journal import Journal
 from repro.utils.serialization import append_jsonl
@@ -366,10 +366,15 @@ class TestMultiprocessMerge:
 
     VALUES = [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
 
+    @pytest.fixture(autouse=True)
+    def fresh_pool(self):
+        """Workers fork from the test process: give each test its own pool."""
+        shutdown_pool()
+        yield
+        shutdown_pool()
+
     def _run(self, tmp_path):
-        runner = SweepRunner(
-            executor=MultiprocessExecutor(workers=2), journal_dir=tmp_path
-        )
+        runner = SweepRunner(executor=WarmPoolExecutor(workers=2), journal_dir=tmp_path)
         return runner.run(_probe_sweep(self.VALUES))
 
     def test_counters_and_histograms_sum_exactly_across_workers(self, tmp_path):

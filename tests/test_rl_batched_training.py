@@ -1,10 +1,10 @@
 """Tests for the lockstep batched training core (``repro.rl.collect``).
 
-The load-bearing property mirrors PR 4's rollout contract, now for *training*:
-``DqnTrainer.train`` at ``train_lanes=1`` reproduces the pre-refactor scalar
-loop (kept as ``train_serial``) bitwise — same RNG stream consumption, same
-replay buffer contents, same ``TrainingHistory``, same final Q-network and
-target-network weights — for the classical trainer and for BERRY's perturbed
+The load-bearing property mirrors the rollout contract, now for *training*:
+``DqnTrainer.train`` at ``train_lanes=1`` reproduces the scalar training loop
+(the test-only ``reference_training.train_serial``) bitwise — same RNG stream
+consumption, same replay buffer contents, same ``TrainingHistory``, same final
+Q-network and target-network weights — for the classical trainer and for BERRY's perturbed
 pass.  That equivalence is what makes the batched collector a refactor of the
 training stack rather than a second, subtly different trainer.
 """
@@ -25,6 +25,8 @@ from repro.rl.collect import LockstepCollector
 from repro.rl.dqn import DqnConfig, DqnTrainer
 from repro.rl.schedules import ConstantSchedule, LinearDecay
 from repro.utils.rng import spawn_generators
+
+from reference_training import train_serial
 
 
 @pytest.fixture
@@ -95,7 +97,7 @@ def _assert_trainers_identical(a, b):
 class TestSerialEquivalence:
     def test_b1_dqn_matches_serial_reference(self, train_env_config):
         serial = _dqn_trainer(train_env_config)
-        serial.train_serial(8)
+        train_serial(serial, 8)
         batched = _dqn_trainer(train_env_config)
         batched.train(8)
         assert serial.history.gradient_steps > 0
@@ -103,7 +105,7 @@ class TestSerialEquivalence:
 
     def test_b1_berry_matches_serial_reference(self, train_env_config):
         serial = _berry_trainer(train_env_config)
-        serial.train_serial(8)
+        train_serial(serial, 8)
         batched = _berry_trainer(train_env_config)
         batched.train(8)
         assert serial.num_injections > 0
@@ -113,7 +115,7 @@ class TestSerialEquivalence:
     def test_b1_matches_with_episode_cap(self, train_env_config):
         """max_steps_per_episode below the env's own cap (the retire path)."""
         serial = _dqn_trainer(train_env_config)
-        serial.train_serial(6, max_steps_per_episode=10)
+        train_serial(serial, 6, max_steps_per_episode=10)
         batched = _dqn_trainer(train_env_config)
         batched.train(6, max_steps_per_episode=10)
         assert max(batched.history.episode_lengths) <= 10
@@ -124,14 +126,14 @@ class TestSerialEquivalence:
         serial = _dqn_trainer(train_env_config)
         batched = _dqn_trainer(train_env_config)
         for _ in range(5):
-            serial.train_serial(1)
+            train_serial(serial, 1)
             batched.train(1)
         _assert_trainers_identical(serial, batched)
 
     def test_b1_matches_with_randomized_worlds(self, train_env_config):
         config = replace(train_env_config, randomize_obstacles_on_reset=True)
         serial = _dqn_trainer(config)
-        serial.train_serial(6)
+        train_serial(serial, 6)
         batched = _dqn_trainer(config)
         batched.train(6)
         _assert_trainers_identical(serial, batched)
@@ -310,7 +312,17 @@ class TestLaneEpisodeFeed:
         with pytest.raises(ConfigurationError):
             BatchedNavigationEnv.from_env(env, batch_size=2, share_rng=True)
         with pytest.raises(ConfigurationError):
-            BatchedNavigationEnv(train_env_config, batch_size=1, share_rng=True)
+            BatchedNavigationEnv(train_env_config, batch_size=2, share_rng=True)
+
+    def test_share_rng_keeps_the_construction_stream(self, train_env_config):
+        """Without a template, lane 0 keeps drawing from the stream it was
+        built from — the one-lane batch a NavigationEnv is."""
+        generator = np.random.default_rng(3)
+        env = BatchedNavigationEnv(train_env_config, batch_size=1, rng=generator, share_rng=True)
+        assert env._rngs[0] is generator
+        assert np.array_equal(
+            env.reset_lanes([0]), NavigationEnv(train_env_config, rng=3).reset()[None]
+        )
 
     def test_retire_lane_validation(self, train_env_config):
         env = BatchedNavigationEnv.from_env(NavigationEnv(train_env_config, rng=3), 2)

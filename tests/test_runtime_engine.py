@@ -1,6 +1,7 @@
 """Tests for the sweep engine: executors, cache hit/miss, journal resume, CLI."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,10 @@ from repro.errors import ConfigurationError
 from repro.experiments.fig5 import assemble_fig5, fig5_sweep_spec, generate_fig5_environments
 from repro.runtime.cache import MISS, ResultCache
 from repro.runtime.engine import SweepExecutionError, SweepRunner, run_sweep
-from repro.runtime.executor import MultiprocessExecutor, SerialExecutor, make_executor
+from repro.runtime.executor import SerialExecutor, make_executor
 from repro.runtime.jobs import ExecutionContext, JobSpec, SweepSpec, job_kind
 from repro.runtime.journal import Journal
+from repro.runtime.pool import WarmPoolExecutor
 from repro.utils.serialization import save_json
 
 
@@ -50,26 +52,24 @@ class TestExecutors:
     def test_serial_and_multiprocess_agree(self):
         sweep = fig5_sweep_spec()
         serial = SweepRunner(executor=SerialExecutor()).run(sweep).results
-        parallel = SweepRunner(executor=MultiprocessExecutor(workers=2)).run(sweep).results
+        parallel = SweepRunner(executor=WarmPoolExecutor(workers=2)).run(sweep).results
         assert serial == parallel
 
     def test_make_executor_selects_backend(self):
-        from repro.runtime.pool import WarmPoolExecutor
-
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor(1), SerialExecutor)
         assert isinstance(make_executor(3), WarmPoolExecutor)
         assert make_executor(3).workers == 3
 
     def test_multiprocess_rejects_live_overrides(self):
-        executor = MultiprocessExecutor(workers=2)
+        executor = WarmPoolExecutor(workers=2)
         context = ExecutionContext(overrides={"pipeline": object()})
         with pytest.raises(ConfigurationError):
             list(executor.submit([(0, JobSpec(kind="test.double", params={"value": 1}))], context))
 
     def test_invalid_worker_count(self):
         with pytest.raises(ConfigurationError):
-            MultiprocessExecutor(workers=0)
+            WarmPoolExecutor(workers=0)
 
 
 class TestCache:
@@ -92,6 +92,28 @@ class TestCache:
         cache.put(JobSpec(kind="test.double", params={"value": 1}), {"value": 2})
         assert cache.clear() == 1
         assert len(cache) == 0
+
+    def test_interleaved_puts_of_one_spec(self, tmp_path, monkeypatch):
+        """A second writer of the same entry finishing between the first
+        writer's temp-file write and its rename must not break either put."""
+        import repro.runtime.cache as cache_module
+
+        cache = ResultCache(root=tmp_path)
+        spec = JobSpec(kind="test.double", params={"value": 3})
+        real_replace = os.replace
+        interleaved = []
+
+        def replace_after_second_put(source, target):
+            if not interleaved:
+                interleaved.append(source)
+                cache.put(spec, {"value": 6})
+            real_replace(source, target)
+
+        monkeypatch.setattr(cache_module.os, "replace", replace_after_second_put)
+        path = cache.put(spec, {"value": 6})
+        assert interleaved
+        assert cache.get(spec) == {"value": 6}
+        assert [entry.name for entry in path.parent.iterdir()] == [path.name]
 
     def test_engine_cache_hit_on_rerun(self, tmp_path):
         log = tmp_path / "executions.log"

@@ -104,7 +104,7 @@ def test_timed_sensor_matches_per_lane_snapshots():
     headings = rng.uniform(-np.pi, np.pi, size=count)
     times = rng.uniform(0.0, 40.0, size=count)
     sensor = RaySensor(num_rays=8, max_range_m=5.0, step_m=0.2)
-    got = sensor.sense_many_timed(field, positions, headings, times)
+    got = sensor.sense_many(field, positions, headings, times_s=times)
     for i in range(count):
         reference = sensor.sense(
             field.at_time(float(times[i])), positions[i], float(headings[i])
@@ -121,7 +121,7 @@ def test_timed_imager_matches_per_lane_snapshots():
     goals = rng.uniform(1.0, 11.0, size=(count, 2))
     times = rng.uniform(0.0, 40.0, size=count)
     imager = OccupancyImager(image_size=10)
-    got = imager.render_many_timed(field, positions, headings, goals, times)
+    got = imager.render_many(field, positions, headings, goals, times_s=times)
     for i in range(count):
         reference = imager.render(
             field.at_time(float(times[i])), positions[i], float(headings[i]), goals[i]
